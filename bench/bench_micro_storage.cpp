@@ -1,14 +1,10 @@
 // Storage microbenchmark (DESIGN.md §13): the same rows ingested and scanned
-// under the three backends —
-//   legacy         : vector-of-Value row store (the rollback lever),
+// under the two encodings —
 //   columnar       : arena-backed segments, fully resident,
 //   columnar+paged : arena segments spilled through the byte-budgeted pager
 //                    (budget far below the text payload).
 // Measures ingest wall time, full-scan wall time (TextCursor over every text
-// cell), and the resident-memory footprint from Table::Stats(). PR 10's
-// acceptance bar is resident_bytes(legacy) / resident_bytes(columnar) >= 2
-// on at least one text-heavy dataset; --json rows carry the ratio so CI can
-// track it.
+// cell), and the resident-memory footprint from Table::Stats().
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -28,8 +24,7 @@ struct JsonSink {
 
   void Row(const std::string& dataset, const char* encoding, size_t rows,
            double ingest_ms, double scan_ms, uint64_t resident_bytes,
-           uint64_t spilled_bytes, uint64_t spilled_pages,
-           double ratio_vs_legacy) const {
+           uint64_t spilled_bytes, uint64_t spilled_pages) const {
     if (path.empty()) return;
     std::FILE* f = std::fopen(path.c_str(), "a");
     if (f == nullptr) {
@@ -41,13 +36,11 @@ struct JsonSink {
                  "\"encoding\": \"%s\", \"rows\": %zu, "
                  "\"ingest_ms\": %.3f, \"scan_ms\": %.3f, "
                  "\"resident_bytes\": %llu, \"spilled_bytes\": %llu, "
-                 "\"spilled_pages\": %llu, "
-                 "\"legacy_resident_ratio\": %.2f}\n",
+                 "\"spilled_pages\": %llu}\n",
                  dataset.c_str(), encoding, rows, ingest_ms, scan_ms,
                  static_cast<unsigned long long>(resident_bytes),
                  static_cast<unsigned long long>(spilled_bytes),
-                 static_cast<unsigned long long>(spilled_pages),
-                 ratio_vs_legacy);
+                 static_cast<unsigned long long>(spilled_pages));
     std::fclose(f);
   }
 };
@@ -97,8 +90,7 @@ struct Workload {
 std::vector<Workload> Workloads() {
   std::vector<Workload> out;
   {
-    // Text-heavy: 17 text columns of titles/authors/words (the acceptance
-    // dataset for the resident-bytes ratio).
+    // Text-heavy: 17 text columns of titles/authors/words.
     datagen::CitationOptions o;
     o.rows = 20000;
     out.push_back({"citation", datagen::MakeCitationDataset(o).source});
@@ -133,17 +125,13 @@ int main(int argc, char** argv) {
     const char* name;
     relational::TableOptions options;
   };
-  relational::TableOptions legacy;
-  legacy.use_legacy_store = true;
   relational::TableOptions columnar;
   relational::TableOptions paged;
   paged.page_budget_bytes = 256 * 1024;  // far below every workload's text
 
   for (Workload& w : Workloads()) {
-    uint64_t legacy_resident = 0;
     uint64_t checksum = 0;
-    for (const Backend& backend : {Backend{"legacy", legacy},
-                                   Backend{"columnar", columnar},
+    for (const Backend& backend : {Backend{"columnar", columnar},
                                    Backend{"columnar+paged", paged}}) {
       double ingest_ms = 0, scan_ms = 0;
       relational::Table t = Ingest(w.table, backend.options, &ingest_ms);
@@ -156,25 +144,16 @@ int main(int argc, char** argv) {
         return 1;
       }
       relational::TableStats stats = t.Stats();
-      if (std::strcmp(backend.name, "legacy") == 0) {
-        legacy_resident = stats.resident_bytes;
-      }
-      const double ratio =
-          stats.resident_bytes > 0
-              ? static_cast<double>(legacy_resident) /
-                    static_cast<double>(stats.resident_bytes)
-              : 0;
       std::printf(
           "%-12s %-15s rows=%-7llu ingest=%8.1fms scan=%7.1fms "
-          "resident=%9llu spilled=%9llu (%llu pages)  legacy/this=%.2fx\n",
+          "resident=%9llu spilled=%9llu (%llu pages)\n",
           w.name.c_str(), backend.name,
           static_cast<unsigned long long>(stats.rows), ingest_ms, scan_ms,
           static_cast<unsigned long long>(stats.resident_bytes),
           static_cast<unsigned long long>(stats.spilled_bytes),
-          static_cast<unsigned long long>(stats.spilled_pages), ratio);
+          static_cast<unsigned long long>(stats.spilled_pages));
       json.Row(w.name, backend.name, t.num_rows(), ingest_ms, scan_ms,
-               stats.resident_bytes, stats.spilled_bytes, stats.spilled_pages,
-               ratio);
+               stats.resident_bytes, stats.spilled_bytes, stats.spilled_pages);
     }
   }
   return 0;

@@ -9,7 +9,7 @@
 //
 // Serves the embedded HTTP API on 127.0.0.1 (see README "Serving"):
 // register CSV tables, submit discovery jobs with a per-job deadline_ms,
-// poll job state, scrape /metrics. --port 0 binds an ephemeral port;
+// poll job state, scrape /v1/metrics. --port 0 binds an ephemeral port;
 // --port-file writes the bound port to PATH so scripts (the CI smoke test)
 // can find it. --preload registers tables at startup without a client.
 //

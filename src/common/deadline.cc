@@ -29,6 +29,14 @@ RunBudget::RunBudget(const BudgetLimits& limits) : limits_(limits) {
   }
 }
 
+RunBudget::RunBudget(RunBudget* parent)
+    : parent_(parent),
+      limits_(parent->limits_),
+      postings_scanned_(parent->postings_scanned()),
+      pairs_aligned_(parent->pairs_aligned()),
+      candidate_formulas_(parent->candidate_formulas()),
+      rows_translated_(parent->rows_translated()) {}
+
 RunBudget RunBudget::ForMillis(int64_t wall_ms) {
   BudgetLimits limits;
   limits.wall_ms = wall_ms;
@@ -49,6 +57,7 @@ bool RunBudget::CheckDeadline() {
   // ordering: relaxed — sticky-flag read; a stale kNone only delays the stop
   // by one charge, it cannot un-trip the budget.
   if (trip_.load(std::memory_order_relaxed) != BudgetTrip::kNone) return false;
+  if (parent_ != nullptr && parent_->Exhausted()) return false;
   if (has_deadline_ && Clock::now() >= deadline_) {
     TripOnce(BudgetTrip::kWallClock);
     return false;
@@ -108,5 +117,77 @@ bool RunBudget::ChargeRows(uint64_t n) {
 }
 
 bool RunBudget::Exhausted() { return !CheckDeadline(); }
+
+BudgetPhase::Usage BudgetPhase::Usage::Of(const RunBudget& budget) {
+  return {budget.postings_scanned(), budget.pairs_aligned(),
+          budget.candidate_formulas()};
+}
+
+BudgetPhase::Usage BudgetPhase::Usage::Since(const RunBudget& budget,
+                                             const Usage& start) {
+  const Usage now = Of(budget);
+  return {now.postings - start.postings, now.pairs - start.pairs,
+          now.formulas - start.formulas};
+}
+
+BudgetPhase::BudgetPhase(RunBudget* parent, size_t slots)
+    : parent_(parent),
+      start_(Usage::Of(*parent)),
+      used_(slots),
+      done_(slots, false),
+      total_(start_),
+      drop_from_(slots) {}
+
+bool BudgetPhase::Skip(size_t slot) {
+  // ordering: relaxed — a stale value only runs a slot the commit drops.
+  return slot >= drop_from_.load(std::memory_order_relaxed) ||
+         parent_->Exhausted();
+}
+
+void BudgetPhase::Finish(size_t slot, const Usage& used) {
+  MutexLock lock(mu_);
+  used_[slot] = used;
+  done_[slot] = true;
+  const BudgetLimits& caps = parent_->limits();
+  while (trip_ == BudgetTrip::kNone && admitted_ < done_.size() &&
+         done_[admitted_]) {
+    const Usage& next = used_[admitted_++];
+    total_.postings += next.postings;
+    total_.pairs += next.pairs;
+    total_.formulas += next.formulas;
+    // Axes in a fixed order, so a slot crossing two caps reports the same
+    // one on every run.
+    if (caps.max_postings_scanned != 0 &&
+        total_.postings > caps.max_postings_scanned) {
+      trip_ = BudgetTrip::kPostings;
+    } else if (caps.max_pairs_aligned != 0 &&
+               total_.pairs > caps.max_pairs_aligned) {
+      trip_ = BudgetTrip::kPairs;
+    } else if (caps.max_candidate_formulas != 0 &&
+               total_.formulas > caps.max_candidate_formulas) {
+      trip_ = BudgetTrip::kFormulas;
+    }
+  }
+  if (trip_ != BudgetTrip::kNone) {
+    // ordering: relaxed — advisory for Skip(); Commit() reads admitted_.
+    drop_from_.store(admitted_, std::memory_order_relaxed);
+  }
+}
+
+size_t BudgetPhase::Commit() {
+  MutexLock lock(mu_);
+  // ordering: relaxed — accumulation only, see ChargePostings. The slots'
+  // meters are done: ParallelFor's barrier ordered their writes before us.
+  parent_->postings_scanned_.fetch_add(total_.postings - start_.postings,
+                                       std::memory_order_relaxed);
+  // ordering: relaxed — as above.
+  parent_->pairs_aligned_.fetch_add(total_.pairs - start_.pairs,
+                                    std::memory_order_relaxed);
+  // ordering: relaxed — as above.
+  parent_->candidate_formulas_.fetch_add(total_.formulas - start_.formulas,
+                                         std::memory_order_relaxed);
+  if (trip_ != BudgetTrip::kNone) parent_->TripOnce(trip_);
+  return admitted_;
+}
 
 }  // namespace mcsm

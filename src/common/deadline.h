@@ -3,7 +3,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <vector>
+
+#include "common/annotations.h"
 
 namespace mcsm {
 
@@ -41,7 +45,8 @@ struct BudgetLimits {
   /// Cap on candidate formulas generated (0 = unlimited).
   uint64_t max_candidate_formulas = 0;
   /// Cap on rows translated by the bulk-translation VM (0 = unlimited).
-  /// Unused by discovery; the translate path in src/vm charges it per batch.
+  /// Unused by discovery; the translate path in src/vm charges it before any
+  /// row runs.
   uint64_t max_rows_translated = 0;
 
   bool unlimited() const {
@@ -127,11 +132,19 @@ class RunBudget {
   const BudgetLimits& limits() const { return limits_; }
 
  private:
+  friend class BudgetPhase;
+
+  /// A slot meter (see BudgetPhase): starts from `parent`'s counters and
+  /// caps and meters its own charges, but takes the deadline, cancellation
+  /// and any trip from `parent`.
+  explicit RunBudget(RunBudget* parent);
+
   bool CheckDeadline();
   /// Records `axis` as the trip cause iff nothing tripped yet (CAS), so the
   /// first axis wins under concurrent charging and stays sticky.
   void TripOnce(BudgetTrip axis);
 
+  RunBudget* parent_ = nullptr;  ///< set on slot meters only
   BudgetLimits limits_;
   Clock::time_point deadline_{};
   bool has_deadline_ = false;
@@ -140,6 +153,75 @@ class RunBudget {
   std::atomic<uint64_t> pairs_aligned_{0};
   std::atomic<uint64_t> candidate_formulas_{0};
   std::atomic<uint64_t> rows_translated_{0};
+};
+
+/// \brief Deterministic work caps for one ParallelFor phase.
+///
+/// Slots that charged the run's budget directly would trip a cap in
+/// scheduling order, so which slots got their work in before the trip would
+/// vary from run to run. Under a BudgetPhase each slot charges a private
+/// meter that starts from the parent's counters and caps — a slot stops
+/// where it would stop if it ran first — and the slots are charged to the
+/// parent in index order: a slot is admitted while the slots before it
+/// stayed within every cap, and the first slot to cross one is the last
+/// admitted and trips the parent on that axis. The admitted prefix and the
+/// parent's counters are the same at every thread count and under any
+/// scheduling. A deadline or Cancel() stays nondeterministic by nature: the
+/// meters see the parent's trip and stop where they are.
+class BudgetPhase {
+ public:
+  /// `parent` is the run's budget, `slots` the ParallelFor's size.
+  BudgetPhase(RunBudget* parent, size_t slots);
+
+  BudgetPhase(const BudgetPhase&) = delete;
+  BudgetPhase& operator=(const BudgetPhase&) = delete;
+
+  /// Runs fn(meter) for `slot` from the ParallelFor body, `meter` being the
+  /// slot's private RunBudget. Skips the slot when Commit() would drop it
+  /// anyway — earlier slots already crossed a cap — or the parent tripped.
+  template <typename Fn>
+  void Run(size_t slot, Fn&& fn) {
+    Usage used;
+    if (!Skip(slot)) {
+      RunBudget meter(parent_);
+      fn(&meter);
+      used = Usage::Since(meter, start_);
+    }
+    Finish(slot, used);
+  }
+
+  /// Charges the slots to the parent in index order and returns how many
+  /// leading slots are admitted. Call once, after the ParallelFor.
+  size_t Commit();
+
+ private:
+  struct Usage {
+    uint64_t postings = 0;
+    uint64_t pairs = 0;
+    uint64_t formulas = 0;
+
+    static Usage Of(const RunBudget& budget);
+    /// What `budget` charged beyond `start`.
+    static Usage Since(const RunBudget& budget, const Usage& start);
+  };
+
+  bool Skip(size_t slot);
+  /// Records a finished slot and folds every finished slot at the front of
+  /// the order into the running total, stopping at the first cap crossed.
+  void Finish(size_t slot, const Usage& used);
+
+  RunBudget* parent_;
+  Usage start_;  ///< the parent's counters when the phase began
+  Mutex mu_;
+  std::vector<Usage> used_ MCSM_GUARDED_BY(mu_);
+  std::vector<bool> done_ MCSM_GUARDED_BY(mu_);
+  /// Slots [0, admitted_) are folded into total_.
+  size_t admitted_ MCSM_GUARDED_BY(mu_) = 0;
+  Usage total_ MCSM_GUARDED_BY(mu_);
+  BudgetTrip trip_ MCSM_GUARDED_BY(mu_) = BudgetTrip::kNone;
+  /// admitted_ once a cap is crossed (every later slot is dropped), the
+  /// slot count until then. Read without the lock by Skip().
+  std::atomic<size_t> drop_from_;
 };
 
 /// \brief Steady-clock stopwatch for diagnostic timings (per-phase seconds

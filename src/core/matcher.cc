@@ -16,8 +16,7 @@ Result<DiscoveredTranslation> DiscoverTranslation(
   DiscoveredTranslation out;
   MCSM_ASSIGN_OR_RETURN(out.search, search.Run());
   if (out.search.formula.IsComplete()) {
-    out.coverage = TranslationSearch::ComputeCoverage(
-        out.search.formula, source, target, target_column);
+    out.coverage = std::move(out.search.coverage);
     SqlEmitter::Options emit = sql_options;
     if (emit.output_column == "translated") {
       emit.output_column = target.schema().column(target_column).name;

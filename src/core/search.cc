@@ -1,8 +1,6 @@
 #include "core/search.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <cmath>
 #include <map>
 #include <unordered_map>
@@ -177,16 +175,16 @@ Status TranslationSearch::TracedFailpoint(const char* site, const char* phase) {
 }
 
 Result<std::vector<uint32_t>> TranslationSearch::SimilarTargetRows(
-    std::string_view key, size_t* pairs_scored) {
+    std::string_view key, RunBudget* budget, size_t* pairs_scored) {
   MCSM_RETURN_IF_ERROR(TracedFailpoint(failpoint::kIndexSimilar, "step2"));
   std::vector<relational::ColumnIndex::ScoredRow> scored;
   if (options_.pair_mode == SearchOptions::PairScoreMode::kTfIdf) {
     scored = target_index_->SimilarRows(key, options_.pair_score_threshold,
                                         options_.top_r_pairs, separator_chars_,
-                                        active_budget_);
+                                        budget);
   } else {
     scored = target_index_->SimilarRowsByCount(
-        key, options_.pair_score_threshold, options_.top_r_pairs, active_budget_);
+        key, options_.pair_score_threshold, options_.top_r_pairs, budget);
   }
   *pairs_scored += scored.size();
   std::vector<uint32_t> rows;
@@ -200,12 +198,12 @@ void TranslationSearch::VoteRecipe(std::string_view key,
                                    const FixedCoverage& fixed,
                                    size_t key_column,
                                    const TraceCtx& trace_ctx,
-                                   VoteBatch* batch) {
+                                   RunBudget* budget, VoteBatch* batch) {
   std::vector<bool> mask = fixed.FreeMask();
   text::RecipeAlignment alignment = text::AlignLcsAnchored(
       key, target, &mask, text::EditCosts{}, options_.lcs_tie_break);
   ++batch->recipes_built;
-  (void)active_budget_->ChargePairs();
+  (void)budget->ChargePairs();
   if (trace_ != nullptr) {
     // One alignment event per (key, target instance) pair. Identity comes
     // from the pipeline coordinates + the pair itself, so the multiset is
@@ -225,7 +223,7 @@ void TranslationSearch::VoteRecipe(std::string_view key,
       options_.max_variants_per_recipe, target_index_->fixed_width());
   if (!formulas_or.ok()) return;  // malformed recipe: skipped vote (see recipe.h)
   std::vector<TranslationFormula>& formulas = *formulas_or;
-  (void)active_budget_->ChargeFormulas(formulas.size());
+  (void)budget->ChargeFormulas(formulas.size());
   // Votes are weighted by the number of characters the recipe explains: a
   // k-character serendipitous match is exponentially less probable than a
   // 1-character one (the same decay Eq. 1 models by raising to the power q),
@@ -338,7 +336,8 @@ Result<std::vector<TranslationFormula>> TranslationSearch::BuildInitialFormulas(
   double total = 0;
 
   auto vote_pair = [&](std::string_view key, uint32_t target_row,
-                       size_t sample_slot, VoteBatch* batch) {
+                       size_t sample_slot, RunBudget* budget,
+                       VoteBatch* batch) {
     const relational::TextView target_cell =
         target_.TextAt(target_row, target_column_);
     const std::string_view target = target_cell.view();
@@ -364,12 +363,12 @@ Result<std::vector<TranslationFormula>> TranslationSearch::BuildInitialFormulas(
     TraceCtx ctx;
     ctx.phase = "step2";
     ctx.sample = static_cast<int64_t>(sample_slot);
-    VoteRecipe(key, target, fixed, column, ctx, batch);
+    VoteRecipe(key, target, fixed, column, ctx, budget, batch);
   };
 
   // One slot per sampled key (or linked pair): retrieval + alignment run in
-  // parallel, and the slots are merged in sample order below so the vote
-  // tallies never depend on scheduling.
+  // parallel on private budget meters, and the admitted slots are merged in
+  // sample order below so the vote tallies never depend on scheduling.
   std::vector<VoteBatch> batches;
   if (!linkage_.empty()) {
     // Section 6.2: candidate pairs come from the known row linkage. Sampling
@@ -386,39 +385,45 @@ Result<std::vector<TranslationFormula>> TranslationSearch::BuildInitialFormulas(
       pairs.emplace_back(key, static_cast<uint32_t>(linkage_[row]));
     }
     batches.resize(pairs.size());
+    BudgetPhase phase(active_budget_, pairs.size());
     pool().ParallelFor(pairs.size(), [&](size_t i) {
-      if (active_budget_->Exhausted()) return;
-      vote_pair(pairs[i].first, pairs[i].second, i, &batches[i]);
+      phase.Run(i, [&](RunBudget* budget) {
+        vote_pair(pairs[i].first, pairs[i].second, i, budget, &batches[i]);
+      });
     });
+    batches.resize(phase.Commit());
   } else {
     std::vector<std::string> keys = SampleKeys(column);
     batches.resize(keys.size());
+    BudgetPhase phase(active_budget_, keys.size());
     pool().ParallelFor(keys.size(), [&](size_t i) {
-      if (active_budget_->Exhausted()) return;
-      const std::string& key = keys[i];
-      if (key.empty()) return;
-      VoteBatch& batch = batches[i];
-      auto rows_or = SimilarTargetRows(key, &batch.pairs_scored);
-      if (!rows_or.ok()) {
-        batch.status = rows_or.status();
-        return;
-      }
-      if (trace_ != nullptr) {
-        // Pair retrieval per sampled key (Algorithm 3): how many candidate
-        // target instances the index produced for this key.
-        TraceEvent event;
-        event.phase = "step2";
-        event.name = "pairs_retrieved";
-        event.column = static_cast<int64_t>(column);
-        event.sample = static_cast<int64_t>(i);
-        event.value = static_cast<double>(rows_or->size());
-        event.detail = key;
-        trace_->Emit(std::move(event));
-      }
-      for (uint32_t target_row : *rows_or) {
-        vote_pair(key, target_row, i, &batch);
-      }
+      phase.Run(i, [&](RunBudget* budget) {
+        const std::string& key = keys[i];
+        if (key.empty()) return;
+        VoteBatch& batch = batches[i];
+        auto rows_or = SimilarTargetRows(key, budget, &batch.pairs_scored);
+        if (!rows_or.ok()) {
+          batch.status = rows_or.status();
+          return;
+        }
+        if (trace_ != nullptr) {
+          // Pair retrieval per sampled key (Algorithm 3): how many candidate
+          // target instances the index produced for this key.
+          TraceEvent event;
+          event.phase = "step2";
+          event.name = "pairs_retrieved";
+          event.column = static_cast<int64_t>(column);
+          event.sample = static_cast<int64_t>(i);
+          event.value = static_cast<double>(rows_or->size());
+          event.detail = key;
+          trace_->Emit(std::move(event));
+        }
+        for (uint32_t target_row : *rows_or) {
+          vote_pair(key, target_row, i, budget, &batch);
+        }
+      });
     });
+    batches.resize(phase.Commit());
   }
   for (VoteBatch& batch : batches) {
     // First failing slot in sample order — the same error a serial run
@@ -540,129 +545,132 @@ Result<bool> TranslationSearch::RefineOnce(TranslationFormula* formula,
   std::vector<size_t> sampled =
       relational::SampleRows(source_.num_rows(), t, active_budget_);
   std::vector<VoteBatch> batches(sampled.size());
+  BudgetPhase phase(active_budget_, sampled.size());
   pool().ParallelFor(sampled.size(), [&](size_t slot) {
-    if (active_budget_->Exhausted()) return;
-    const size_t row = sampled[slot];
-    VoteBatch& batch = batches[slot];
-    auto pattern = formula->BuildPattern(source_, row);
-    if (!pattern.has_value() || pattern->IsUniversal()) return;
+    phase.Run(slot, [&](RunBudget* budget) {
+      const size_t row = sampled[slot];
+      VoteBatch& batch = batches[slot];
+      auto pattern = formula->BuildPattern(source_, row);
+      if (!pattern.has_value() || pattern->IsUniversal()) return;
 
-    std::vector<uint32_t> target_rows;
-    if (!linkage_.empty()) {
-      if (row < linkage_.size() && linkage_[row] != kNoLink) {
-        uint32_t linked = static_cast<uint32_t>(linkage_[row]);
-        if (pattern->Matches(target_.TextAt(linked, target_column_))) {
-          target_rows.push_back(linked);
-        }
-      }
-    } else {
-      target_rows = target_index_->RowsMatchingPattern(*pattern, active_budget_);
-    }
-
-    // Per-candidate fixed coverage (shared by all columns); invalid captures
-    // are dropped up front.
-    struct Candidate {
-      uint32_t row;
-      // TextView, not string_view: each candidate carries the pin that keeps
-      // its target bytes valid for the rest of the slot.
-      relational::TextView target;
-      FixedCoverage fixed;
-      std::vector<bool> free_mask;
-    };
-    std::vector<Candidate> candidates;
-    candidates.reserve(target_rows.size());
-    for (uint32_t t_row : target_rows) {
-      relational::TextView target = target_.TextAt(t_row, target_column_);
-      auto spans = pattern->CaptureLiterals(target);
-      if (!spans.has_value()) continue;
-      auto fixed =
-          FixedCoverage::FromCapture(target.size(), *spans, fixed_regions);
-      if (!fixed.ok()) continue;
-      Candidate cand{t_row, std::move(target), std::move(fixed).value(), {}};
-      cand.free_mask = cand.fixed.FreeMask();
-      candidates.push_back(std::move(cand));
-    }
-
-    // Algorithm 6's "and contains q-grams of key", realized as row-level
-    // record-linkage ranking: when more candidates match the pattern than
-    // the cap admits, keep the ones sharing the most q-grams with the WHOLE
-    // source row (summed over all candidate columns). The truly linked
-    // target instance shares several fields and rises to the top, while a
-    // candidate that matches one field by coincidence ranks below it — the
-    // "primitive form of record linkage" of Section 2.
-    if (trace_ != nullptr) {
-      // Pattern retrieval outcome for this sampled row (Algorithm 5).
-      TraceEvent event;
-      event.phase = "refine";
-      event.name = "pattern_candidates";
-      event.iteration = iteration;
-      event.sample = static_cast<int64_t>(slot);
-      event.value = static_cast<double>(candidates.size());
-      trace_->Emit(std::move(event));
-    }
-    if (candidates.size() > options_.max_pattern_rows) {
-      std::vector<long long> row_similarity(candidates.size(), 0);
-      for (size_t ci = 0; ci < candidates.size(); ++ci) {
-        for (size_t col : text_columns) {
-          const relational::TextView key_cell = source_.TextAt(row, col);
-          const std::string_view key = key_cell.view();
-          if (key.size() >= options_.q) {
-            row_similarity[ci] += text::SharedQGramsMasked(
-                key, candidates[ci].target, candidates[ci].free_mask,
-                options_.q);
+      std::vector<uint32_t> target_rows;
+      if (!linkage_.empty()) {
+        if (row < linkage_.size() && linkage_[row] != kNoLink) {
+          uint32_t linked = static_cast<uint32_t>(linkage_[row]);
+          if (pattern->Matches(target_.TextAt(linked, target_column_))) {
+            target_rows.push_back(linked);
           }
         }
+      } else {
+        target_rows = target_index_->RowsMatchingPattern(*pattern, budget);
       }
-      std::vector<size_t> order(candidates.size());
-      for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-      std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        return row_similarity[a] > row_similarity[b];
-      });
-      order.resize(options_.max_pattern_rows);
-      std::sort(order.begin(), order.end());
-      std::vector<Candidate> kept;
-      kept.reserve(order.size());
-      for (size_t i : order) kept.push_back(std::move(candidates[i]));
-      candidates = std::move(kept);
-    }
 
-    for (size_t col : text_columns) {
-      const relational::TextView key_cell = source_.TextAt(row, col);
-      const std::string_view key = key_cell.view();
-      if (key.empty()) continue;
-      // Algorithm 6's "and contains q-grams of key" (see RefinementFilter).
-      bool filter = options_.refinement_filter !=
-                        SearchOptions::RefinementFilter::kOff &&
-                    key.size() >= options_.q;
-      // Sharing is measured against the candidate's *unexplained* portion:
-      // the key's contribution has to land there, and testing the whole
-      // string would make the filter vacuous for columns whose value the
-      // pattern already pins (every "04%" match contains "04").
-      std::vector<bool> sharing(candidates.size(), true);
-      if (filter) {
+      // Per-candidate fixed coverage (shared by all columns); invalid captures
+      // are dropped up front.
+      struct Candidate {
+        uint32_t row;
+        // TextView, not string_view: each candidate carries the pin that keeps
+        // its target bytes valid for the rest of the slot.
+        relational::TextView target;
+        FixedCoverage fixed;
+        std::vector<bool> free_mask;
+      };
+      std::vector<Candidate> candidates;
+      candidates.reserve(target_rows.size());
+      for (uint32_t t_row : target_rows) {
+        relational::TextView target = target_.TextAt(t_row, target_column_);
+        auto spans = pattern->CaptureLiterals(target);
+        if (!spans.has_value()) continue;
+        auto fixed =
+            FixedCoverage::FromCapture(target.size(), *spans, fixed_regions);
+        if (!fixed.ok()) continue;
+        Candidate cand{t_row, std::move(target), std::move(fixed).value(), {}};
+        cand.free_mask = cand.fixed.FreeMask();
+        candidates.push_back(std::move(cand));
+      }
+
+      // Algorithm 6's "and contains q-grams of key", realized as row-level
+      // record-linkage ranking: when more candidates match the pattern than
+      // the cap admits, keep the ones sharing the most q-grams with the WHOLE
+      // source row (summed over all candidate columns). The truly linked
+      // target instance shares several fields and rises to the top, while a
+      // candidate that matches one field by coincidence ranks below it — the
+      // "primitive form of record linkage" of Section 2.
+      if (trace_ != nullptr) {
+        // Pattern retrieval outcome for this sampled row (Algorithm 5).
+        TraceEvent event;
+        event.phase = "refine";
+        event.name = "pattern_candidates";
+        event.iteration = iteration;
+        event.sample = static_cast<int64_t>(slot);
+        event.value = static_cast<double>(candidates.size());
+        trace_->Emit(std::move(event));
+      }
+      if (candidates.size() > options_.max_pattern_rows) {
+        std::vector<long long> row_similarity(candidates.size(), 0);
         for (size_t ci = 0; ci < candidates.size(); ++ci) {
-          sharing[ci] = text::SharedQGramsMasked(key, candidates[ci].target,
-                                                 candidates[ci].free_mask,
-                                                 options_.q) > 0;
+          for (size_t col : text_columns) {
+            const relational::TextView key_cell = source_.TextAt(row, col);
+            const std::string_view key = key_cell.view();
+            if (key.size() >= options_.q) {
+              row_similarity[ci] += text::SharedQGramsMasked(
+                  key, candidates[ci].target, candidates[ci].free_mask,
+                  options_.q);
+            }
+          }
         }
-        if (options_.refinement_filter ==
-                SearchOptions::RefinementFilter::kPreferSharing &&
-            std::none_of(sharing.begin(), sharing.end(),
-                         [](bool b) { return b; })) {
-          filter = false;  // waive rather than starve
+        std::vector<size_t> order(candidates.size());
+        for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+        std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+          return row_similarity[a] > row_similarity[b];
+        });
+        order.resize(options_.max_pattern_rows);
+        std::sort(order.begin(), order.end());
+        std::vector<Candidate> kept;
+        kept.reserve(order.size());
+        for (size_t i : order) kept.push_back(std::move(candidates[i]));
+        candidates = std::move(kept);
+      }
+
+      for (size_t col : text_columns) {
+        const relational::TextView key_cell = source_.TextAt(row, col);
+        const std::string_view key = key_cell.view();
+        if (key.empty()) continue;
+        // Algorithm 6's "and contains q-grams of key" (see RefinementFilter).
+        bool filter = options_.refinement_filter !=
+                          SearchOptions::RefinementFilter::kOff &&
+                      key.size() >= options_.q;
+        // Sharing is measured against the candidate's *unexplained* portion:
+        // the key's contribution has to land there, and testing the whole
+        // string would make the filter vacuous for columns whose value the
+        // pattern already pins (every "04%" match contains "04").
+        std::vector<bool> sharing(candidates.size(), true);
+        if (filter) {
+          for (size_t ci = 0; ci < candidates.size(); ++ci) {
+            sharing[ci] = text::SharedQGramsMasked(key, candidates[ci].target,
+                                                   candidates[ci].free_mask,
+                                                   options_.q) > 0;
+          }
+          if (options_.refinement_filter ==
+                  SearchOptions::RefinementFilter::kPreferSharing &&
+              std::none_of(sharing.begin(), sharing.end(),
+                           [](bool b) { return b; })) {
+            filter = false;  // waive rather than starve
+          }
+        }
+        for (size_t ci = 0; ci < candidates.size(); ++ci) {
+          if (filter && !sharing[ci]) continue;
+          TraceCtx ctx;
+          ctx.phase = "refine";
+          ctx.iteration = iteration;
+          ctx.sample = static_cast<int64_t>(slot);
+          VoteRecipe(key, candidates[ci].target, candidates[ci].fixed, col, ctx,
+                     budget, &batch);
         }
       }
-      for (size_t ci = 0; ci < candidates.size(); ++ci) {
-        if (filter && !sharing[ci]) continue;
-        TraceCtx ctx;
-        ctx.phase = "refine";
-        ctx.iteration = iteration;
-        ctx.sample = static_cast<int64_t>(slot);
-        VoteRecipe(key, candidates[ci].target, candidates[ci].fixed, col, ctx,
-                   &batch);
-      }
-    }
+    });
   });
+  batches.resize(phase.Commit());
 
   VoteMap votes;
   std::vector<double> column_totals(source_.num_columns(), 0);
@@ -671,18 +679,11 @@ Result<bool> TranslationSearch::RefineOnce(TranslationFormula* formula,
   }
 
   // Score candidates (Eq. 5) and adopt the best true refinement.
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only; nothing calls setenv.
-  const bool debug_votes = std::getenv("MCSM_DEBUG_VOTES") != nullptr;
   double global_total = 0;
   for (double ct : column_totals) global_total += ct;
   const FormulaVotes* best = nullptr;
   double best_score = 0.0;
   for (const auto& [rendered, entry] : votes) {
-    if (debug_votes && entry.count >= 2) {
-      std::fprintf(stderr, "vote %-40s col=%zu count=%zu w=%.0f total=%.0f\n",
-                   rendered.c_str(), entry.column, entry.count,
-                   entry.weighted_count, column_totals[entry.column]);
-    }
     ++candidates_considered;
     if (entry.formula.ToString() == current_rendered) {
       continue;  // no new information
@@ -841,12 +842,11 @@ Result<SearchResult> TranslationSearch::Run() {
         attempt.iterations.push_back(std::move(info));
         if (!improved) break;
       }
-      size_t covered = 0;
       if (attempt.formula.IsComplete()) {
-        covered = ComputeCoverage(attempt.formula, source_, target_,
-                                  target_column_)
-                      .matched_rows();
+        attempt.coverage = ComputeCoverage(attempt.formula, source_, target_,
+                                           target_column_);
       }
+      const size_t covered = attempt.coverage.matched_rows();
       if (trace_ != nullptr) {
         // Coverage validation verdict for this branch (the feedback loop).
         TraceEvent event;

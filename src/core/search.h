@@ -248,6 +248,10 @@ struct SearchResult {
   bool truncated = false;
   /// Which budget axis tripped (kNone unless `truncated`).
   BudgetTrip budget_trip = BudgetTrip::kNone;
+  /// ComputeCoverage of `formula`, as Run()'s coverage validation computed
+  /// it; empty unless `formula` is complete. DiscoverTranslation moves it
+  /// into DiscoveredTranslation::coverage.
+  Coverage coverage;
 };
 
 /// \brief The multi-column substring matching search (Algorithm 1).
@@ -336,9 +340,10 @@ class TranslationSearch {
   };
 
   /// Everything one worker slot produces: its votes, its share of the
-  /// instrumentation counters, and the first error it hit. Slots are merged
-  /// in index order, so vote counts, floating-point accumulation order, and
-  /// which error propagates are identical for every thread count.
+  /// instrumentation counters, and the first error it hit. The slots a
+  /// BudgetPhase admits are merged in index order, so vote counts,
+  /// floating-point accumulation order, and which error propagates are
+  /// identical for every thread count.
   struct VoteBatch {
     std::vector<PendingVote> votes;
     size_t recipes_built = 0;
@@ -348,10 +353,12 @@ class TranslationSearch {
   };
 
   /// Candidate target rows similar to `key` (initial phase retrieval).
-  /// Errors only from the index.similar failpoint; budget exhaustion
-  /// truncates the result instead. Thread-safe: retrieved pair counts go to
-  /// `pairs_scored` (the caller's slot), not the shared stats.
+  /// Errors only from the index.similar failpoint; exhausting `budget` (the
+  /// caller's slot meter) truncates the result instead. Thread-safe:
+  /// retrieved pair counts go to `pairs_scored` (the caller's slot), not the
+  /// shared stats.
   Result<std::vector<uint32_t>> SimilarTargetRows(std::string_view key,
+                                                  RunBudget* budget,
                                                   size_t* pairs_scored);
 
   /// Packages the current best attempt as a truncated anytime result.
@@ -380,9 +387,12 @@ class TranslationSearch {
     int64_t iteration = -1;
     int64_t sample = -1;
   };
+  /// Aligns one (key, target instance) pair and buffers the formulas its
+  /// recipe yields into `batch`, charging `budget` (the slot's meter).
   void VoteRecipe(std::string_view key, std::string_view target,
                   const FixedCoverage& fixed, size_t key_column,
-                  const TraceCtx& trace_ctx, VoteBatch* batch);
+                  const TraceCtx& trace_ctx, RunBudget* budget,
+                  VoteBatch* batch);
 
   /// Folds one slot's votes and counters into the shared vote map and stats.
   /// Per-vote weight goes to `*total` and/or `(*column_totals)[column]`

@@ -62,6 +62,8 @@ ColumnIndex::ColumnIndex(const Table& table, size_t col, Options options)
   values.reserve(row_count_);
   std::vector<uint32_t> row_ids;  // gram ids of the current row
   std::vector<int> df;            // document frequency by gram id
+  // Per-gram (row, tf) lists, handed to PostingStore::Build below.
+  std::vector<std::vector<Posting>> postings;
 
   const ColumnView view = table.Column(col);
   const PinnedColumn pinned(view);
@@ -82,7 +84,7 @@ ColumnIndex::ColumnIndex(const Table& table, size_t col, Options options)
       row_ids.clear();
       dict_->InternIds(s, &row_ids);
       df.resize(dict_->size(), 0);
-      if (options_.build_postings) postings_.resize(dict_->size());
+      if (options_.build_postings) postings.resize(dict_->size());
       // Sorting makes equal ids adjacent: the per-row term frequency falls
       // out of one run scan instead of a per-row hash map.
       std::sort(row_ids.begin(), row_ids.end());
@@ -92,7 +94,7 @@ ColumnIndex::ColumnIndex(const Table& table, size_t col, Options options)
         while (j < row_ids.size() && row_ids[j] == id) ++j;
         df[id]++;
         if (options_.build_postings) {
-          postings_[id].push_back(
+          postings[id].push_back(
               {static_cast<uint32_t>(row), static_cast<uint32_t>(j - i)});
         }
         i = j;
@@ -109,13 +111,10 @@ ColumnIndex::ColumnIndex(const Table& table, size_t col, Options options)
   for (std::string_view value : values) sorted_distinct_.emplace_back(value);
   tfidf_ = std::make_unique<text::TfIdfModel>(dict_, std::move(df), non_null);
   // Interning is done: flat fast-lookup tables for query-time FindIds, and
-  // the block-compressed layout for the postings (unless the legacy layout
-  // was requested for differential testing).
+  // the block-compressed layout for the postings.
   dict_->Freeze();
-  if (options_.build_postings && !options_.use_legacy_postings) {
-    store_ = PostingStore::Build(std::move(postings_));
-    postings_.clear();
-    postings_.shrink_to_fit();
+  if (options_.build_postings) {
+    store_ = PostingStore::Build(std::move(postings));
   }
 }
 
@@ -129,10 +128,6 @@ size_t ColumnIndex::ApproxMemoryBytes() const {
     bytes += sizeof(std::string) + value.capacity();
   }
   bytes += store_.ApproxMemoryBytes();
-  bytes += postings_.capacity() * sizeof(std::vector<Posting>);
-  for (const std::vector<Posting>& plist : postings_) {
-    bytes += plist.capacity() * sizeof(Posting);
-  }
   if (dict_ != nullptr) {
     bytes += dict_->ApproxFastLookupBytes();
     // Per interned gram: the gram bytes (usually SSO'd into the string), the
@@ -150,10 +145,6 @@ std::vector<ColumnIndex::Posting> ColumnIndex::DecodedPostings(
   std::vector<Posting> out;
   const uint32_t id = dict_->Find(gram);
   if (id == text::QGramDictionary::kNoGram) return out;
-  if (options_.use_legacy_postings) {
-    if (id < postings_.size()) out = postings_[id];
-    return out;
-  }
   std::vector<uint32_t> rows;
   std::vector<uint32_t> tfs;
   const size_t n = store_.Decode(id, &rows, &tfs);
@@ -187,12 +178,6 @@ long long ColumnIndex::TotalQGramHits(std::string_view key,
 size_t ColumnIndex::RowsWithAnyQGram(std::string_view key) const {
   if (!options_.build_postings) return 0;
   t_scratch.Begin(row_count_);
-  if (options_.use_legacy_postings) {
-    for (const KeyTerm& term : BuildKeyTerms(key, {})) {
-      for (const Posting& p : postings_[term.id]) t_scratch.Add(p.row, 1.0);
-    }
-    return t_scratch.touched.size();
-  }
   uint32_t rows[kPostingBlockSize];
   for (const KeyTerm& term : BuildKeyTerms(key, {})) {
     auto [blk, end] = store_.Blocks(term.id);
@@ -219,46 +204,11 @@ std::vector<uint32_t> ColumnIndex::RowsMatchingPattern(
   // Index-assisted path: every q-gram of the longest literal must occur in
   // every matching row.
   if (options_.build_postings && q > 0 && literal.size() >= q) {
-    if (options_.use_legacy_postings) {
-      // Legacy layout: scan the single rarest gram's list, verify each row.
-      std::string_view best_gram;
-      int best_df = -1;
-      for (size_t i = 0; i + q <= literal.size(); ++i) {
-        std::string_view gram = literal.substr(i, q);
-        int df = DocumentFrequency(gram);
-        if (best_df < 0 || df < best_df) {
-          best_df = df;
-          best_gram = gram;
-        }
-      }
-      if (best_df == 0) return out;  // literal can appear in no row
-      const uint32_t best_id = dict_->Find(best_gram);
-      if (best_id == text::QGramDictionary::kNoGram ||
-          best_id >= postings_.size()) {
-        return out;
-      }
-      const std::vector<Posting>& plist = postings_[best_id];
-      // Verification is charged in blocks so a huge posting list cannot
-      // overshoot a small budget by much.
-      constexpr size_t kBlock = 256;
-      for (size_t i = 0; i < plist.size(); i += kBlock) {
-        size_t end = std::min(i + kBlock, plist.size());
-        if (budget != nullptr && !budget->ChargePostings(end - i)) break;
-        for (size_t j = i; j < end; ++j) {
-          const Posting& p = plist[j];
-          if (pattern.Matches(cell.Get(p.row))) {
-            out.push_back(p.row);
-          }
-        }
-      }
-      return out;
-    }
-
-    // Compressed layout: intersect the posting lists of the literal's rarest
-    // grams (galloping over the block skip entries) before verification.
-    // Every matching row contains *all* of the literal's grams, so the
-    // intersection only sheds non-matching candidates — the verified output
-    // is identical to the legacy single-gram scan.
+    // Intersect the posting lists of the literal's rarest grams (galloping
+    // over the block skip entries) before verification. Every matching row
+    // contains *all* of the literal's grams, so the intersection only sheds
+    // non-matching candidates — the verified output is exactly the rows of
+    // the column that match the pattern.
     thread_local std::vector<uint32_t> gram_ids;
     gram_ids.clear();
     dict_->FindIds(literal, &gram_ids);
@@ -284,8 +234,8 @@ std::vector<uint32_t> ColumnIndex::RowsMatchingPattern(
     uint32_t rows[kPostingBlockSize];
     auto [blk, blk_end] = store_.Blocks(gram_ids.front());
     for (; blk != blk_end; ++blk) {
-      // Decoding is charged like the legacy scan; on exhaustion the rows
-      // decoded so far are verified (same anytime semantics).
+      // Decoding is charged per block; on exhaustion the rows decoded so far
+      // are verified (anytime semantics).
       if (budget != nullptr && !budget->ChargePostings(blk->count)) break;
       if (!DecodePostingBlock(*blk, store_.data(), store_.data_size(), rows,
                               nullptr)) {
@@ -374,15 +324,13 @@ std::vector<ColumnIndex::ScoredRow> ColumnIndex::AccumulateRarestFirst(
             });
   t_scratch.Begin(row_count_);
   size_t per_key_budget = options_.posting_budget;
-  const bool legacy = options_.use_legacy_postings;
   // Per-block decode scratch lives on the stack (~2 KB, L1-resident); the
   // whole accumulation loop allocates nothing.
   uint32_t rows[kPostingBlockSize];
   uint32_t tfs[kPostingBlockSize];
   double contribs[kPostingBlockSize];
   for (const KeyTerm& term : terms) {
-    const size_t count =
-        legacy ? postings_[term.id].size() : store_.Count(term.id);
+    const size_t count = store_.Count(term.id);
     // A df-sized posting list costs df entries to scan; stopping on the
     // actual list size keeps the subtraction below from underflowing.
     if (count > per_key_budget) break;
@@ -394,27 +342,14 @@ std::vector<ColumnIndex::ScoredRow> ColumnIndex::AccumulateRarestFirst(
     per_key_budget -= count;
     // The run budget prunes the same way the per-key budget does: the
     // remaining grams are the most common (least informative) ones.
-    // Charging the whole list up front (rather than per block) keeps the
-    // cut-off — and with it the result — byte-identical to the legacy
-    // layout under any budget.
+    // Charging the whole list up front (rather than per block) makes the
+    // cut-off a whole-gram boundary that does not depend on block layout.
     if (budget != nullptr && !budget->ChargePostings(count)) break;
-    if (legacy) {
-      const std::vector<Posting>& plist = postings_[term.id];
-      if (idf_weighted) {
-        const double key_weight = static_cast<double>(term.tf) * idf;
-        for (const Posting& p : plist) {
-          t_scratch.Add(p.row, key_weight * (static_cast<double>(p.tf) * idf));
-        }
-      } else {
-        for (const Posting& p : plist) t_scratch.Add(p.row, 1.0);
-      }
-      continue;
-    }
     auto [blk, end] = store_.Blocks(term.id);
     if (idf_weighted) {
-      // Same contribution expression as the legacy loop, evaluated per lane
-      // by the SIMD kernel: two ordered multiplies, no reassociation, so the
-      // accumulated doubles are bit-identical across layouts and tiers.
+      // Contribution key_weight * (tf * idf), evaluated per lane by the SIMD
+      // kernel: two ordered multiplies, no reassociation, so the accumulated
+      // doubles are bit-identical across SIMD tiers.
       const double key_weight = static_cast<double>(term.tf) * idf;
       for (; blk != end; ++blk) {
         if (!DecodePostingBlock(*blk, store_.data(), store_.data_size(), rows,

@@ -47,12 +47,6 @@ class ColumnIndex {
     /// discriminative ones), so the budget prunes only the low-signal tail
     /// of very common grams.
     size_t posting_budget = 20000;
-    /// Keeps the uncompressed per-gram `std::vector<Posting>` layout instead
-    /// of the block-compressed PostingStore. Retrieval results are
-    /// byte-identical between the two layouts (enforced by differential
-    /// tests); legacy exists for that comparison and as a rollback lever,
-    /// not for production use.
-    bool use_legacy_postings = false;
   };
 
   /// An inverted-index entry: the row and the q-gram's term frequency there.
@@ -114,10 +108,9 @@ class ColumnIndex {
   const text::TfIdfModel& tfidf() const { return *tfidf_; }
 
   /// Rows whose value matches `pattern`, filtered through the inverted index
-  /// when possible, verified exactly. The compressed layout intersects the
-  /// posting lists of the literal's rarest q-grams (up to four, galloping
-  /// over the per-block skip entries) before verification; the legacy layout
-  /// scans the single rarest gram's list. Falls back to a scan when no
+  /// when possible, verified exactly: the posting lists of the literal's
+  /// rarest q-grams (up to four) are intersected, galloping over the
+  /// per-block skip entries, before verification. Falls back to a scan when no
   /// usable literal exists or postings were not built. `budget`, when given,
   /// is charged per row/posting examined; on exhaustion the scan stops and
   /// the rows found so far are returned (anytime semantics — the caller
@@ -187,12 +180,9 @@ class ColumnIndex {
   std::vector<std::string> sorted_distinct_;
   /// gram <-> dense id; shared with tfidf_ so both agree on ids.
   std::shared_ptr<text::QGramDictionary> dict_;
-  /// Block-compressed posting lists by gram id (the default layout; empty
-  /// unless options_.build_postings).
+  /// Block-compressed posting lists by gram id (empty unless
+  /// options_.build_postings).
   PostingStore store_;
-  /// Uncompressed posting lists by gram id (only when
-  /// options_.use_legacy_postings; kept for differential testing).
-  std::vector<std::vector<Posting>> postings_;
   /// Owns df/idf by gram id (DocumentFrequency delegates here).
   std::unique_ptr<text::TfIdfModel> tfidf_;
 };

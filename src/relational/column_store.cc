@@ -114,25 +114,20 @@ bool TextColumn::SegmentResident(size_t k) const {
 // ColumnView
 
 TextView ColumnView::GetText(size_t row) const {
-  if (col_ != nullptr) {
-    if (col_->type != ColumnType::kText || col_->nulls.Get(row)) {
-      return TextView();
-    }
-    return col_->text.Get(row);
+  if (col_->type != ColumnType::kText || col_->nulls.Get(row)) {
+    return TextView();
   }
-  const Value& v = (*legacy_)[row];
-  if (!v.is_text()) return TextView();
-  return TextView(std::string_view(v.text()), nullptr);
+  return col_->text.Get(row);
 }
 
 void ColumnView::GetTexts(const uint32_t* rows, size_t n,
                           std::vector<TextView>* out) const {
   out->reserve(out->size() + n);
-  if (col_ == nullptr || col_->type != ColumnType::kText) {
-    for (size_t i = 0; i < n; ++i) out->push_back(GetText(rows[i]));
+  if (col_->type != ColumnType::kText) {
+    out->resize(out->size() + n);
     return;
   }
-  // Columnar: reuse the previous row's pin while the segment id repeats —
+  // Reuse the previous row's pin while the segment id repeats —
   // sorted row lists (the common case: posting lists) pay one load per
   // segment touched.
   const TextColumn& text = col_->text;
@@ -166,7 +161,6 @@ void ColumnView::GetTexts(const uint32_t* rows, size_t n,
 }
 
 Value ColumnView::GetValue(size_t row) const {
-  if (col_ == nullptr) return (*legacy_)[row];
   if (col_->nulls.Get(row)) return Value::MakeNull();
   switch (col_->type) {
     case ColumnType::kText: {
@@ -186,10 +180,6 @@ Value ColumnView::GetValue(size_t row) const {
 
 std::string_view TextCursor::Get(size_t row) {
   const ColumnData* col = view_.col_;
-  if (col == nullptr) {
-    const Value& v = (*view_.legacy_)[row];
-    return v.is_text() ? std::string_view(v.text()) : std::string_view();
-  }
   if (col->type != ColumnType::kText || col->nulls.Get(row)) {
     return {};
   }
@@ -214,7 +204,7 @@ std::string_view TextCursor::Get(size_t row) {
 
 PinnedColumn::PinnedColumn(const ColumnView& view) : view_(view) {
   const ColumnData* col = view_.col_;
-  if (col == nullptr || col->type != ColumnType::kText) return;
+  if (col->type != ColumnType::kText) return;
   const TextColumn& text = col->text;
   pins_.resize(text.segments_.size());
   for (size_t k = 0; k < text.segments_.size(); ++k) {
@@ -224,10 +214,6 @@ PinnedColumn::PinnedColumn(const ColumnView& view) : view_(view) {
 
 std::string_view PinnedColumn::at(size_t row) const {
   const ColumnData* col = view_.col_;
-  if (col == nullptr) {
-    const Value& v = (*view_.legacy_)[row];
-    return v.is_text() ? std::string_view(v.text()) : std::string_view();
-  }
   if (col->type != ColumnType::kText || col->nulls.Get(row)) {
     return {};
   }

@@ -29,9 +29,7 @@ namespace mcsm::relational {
 /// Read surface: `ColumnView` (type + nulls + typed getters), `TextView`
 /// (a string_view plus the page pin that keeps it valid), `TextCursor`
 /// (amortizes pinning for ordered scans) and `PinnedColumn` (pins a whole
-/// column for code that retains many views at once). All four also wrap the
-/// legacy row-store backend (Table's `use_legacy_store` rollback lever) so
-/// callers never branch on the storage engine.
+/// column for code that retains many views at once).
 
 /// Default sealed-segment size. Small enough that a tight MCSM_PAGE_BUDGET
 /// still holds a useful working set, large enough that per-segment overhead
@@ -41,8 +39,8 @@ inline constexpr size_t kDefaultSegmentBytes = 64 * 1024;
 /// \brief A text cell: the view plus the pin that keeps its bytes alive.
 ///
 /// The view is valid for the lifetime of the TextView object (the pin holds
-/// the segment against cache eviction). Views of unsealed (tail) or legacy
-/// storage carry no pin and stay valid until the table is next mutated —
+/// the segment against cache eviction). Views of the unsealed tail carry no
+/// pin and stay valid until the table is next mutated —
 /// the same contract the old reference-returning accessors had.
 class TextView {
  public:
@@ -189,27 +187,19 @@ struct ColumnData {
   std::vector<double> reals;   ///< engaged iff type == kReal
 };
 
-/// \brief Read access to one column, independent of the storage backend.
+/// \brief Read access to one column of a ColumnStore.
 ///
-/// A lightweight value type (two pointers); callers hold it by value. The
-/// table must outlive the view. `GetText` returns an empty view for NULLs
+/// A lightweight value type (pointer + row count); callers hold it by value.
+/// The table must outlive the view. `GetText` returns an empty view for NULLs
 /// and non-text columns — the exact semantics the old CellText() had.
 class ColumnView {
  public:
-  ColumnView() = default;
-  /// Columnar backend.
   ColumnView(const ColumnData* col, size_t rows) : col_(col), rows_(rows) {}
-  /// Legacy row-store backend (one Value vector per column).
-  ColumnView(const std::vector<Value>* legacy, ColumnType type)
-      : legacy_(legacy), type_(type), rows_(legacy->size()) {}
 
-  ColumnType type() const { return col_ != nullptr ? col_->type : type_; }
+  ColumnType type() const { return col_->type; }
   size_t size() const { return rows_; }
 
-  bool IsNull(size_t row) const {
-    if (col_ != nullptr) return col_->nulls.Get(row);
-    return (*legacy_)[row].is_null();
-  }
+  bool IsNull(size_t row) const { return col_->nulls.Get(row); }
 
   /// True when the cell holds a TEXT value (the old `cell().is_text()`).
   bool IsText(size_t row) const {
@@ -223,14 +213,8 @@ class ColumnView {
   void GetTexts(const uint32_t* rows, size_t n,
                 std::vector<TextView>* out) const;
 
-  int64_t GetInt(size_t row) const {
-    if (col_ != nullptr) return col_->ints[row];
-    return (*legacy_)[row].integer();
-  }
-  double GetReal(size_t row) const {
-    if (col_ != nullptr) return col_->reals[row];
-    return (*legacy_)[row].real();
-  }
+  int64_t GetInt(size_t row) const { return col_->ints[row]; }
+  double GetReal(size_t row) const { return col_->reals[row]; }
 
   /// Materializes the cell as a Value (copies text payloads).
   Value GetValue(size_t row) const;
@@ -239,10 +223,8 @@ class ColumnView {
   friend class TextCursor;
   friend class PinnedColumn;
 
-  const ColumnData* col_ = nullptr;        ///< columnar backend
-  const std::vector<Value>* legacy_ = nullptr;  ///< legacy backend
-  ColumnType type_ = ColumnType::kText;    ///< legacy: declared type
-  size_t rows_ = 0;
+  const ColumnData* col_;
+  size_t rows_;
 };
 
 /// \brief Ordered-scan accessor: caches the current segment's pin so a scan
@@ -269,8 +251,8 @@ class TextCursor {
 /// making all returned views simultaneously valid.
 ///
 /// This is the tool for call sites that build maps over a whole column
-/// (coverage counting): memory cost is the whole column resident — the same
-/// cost the legacy store paid permanently, but scoped to the pin's lifetime.
+/// (coverage counting): memory cost is the whole column resident, scoped to
+/// the pin's lifetime.
 class PinnedColumn {
  public:
   explicit PinnedColumn(const ColumnView& view);
@@ -282,7 +264,7 @@ class PinnedColumn {
 
  private:
   ColumnView view_;
-  std::vector<PagePin> pins_;  ///< columnar: one per sealed segment
+  std::vector<PagePin> pins_;  ///< one per sealed segment
 };
 
 /// \brief The columnar table backend: one ColumnData per schema column.

@@ -18,7 +18,6 @@ std::optional<size_t> Schema::FindColumn(std::string_view name) const {
 
 TableOptions TableOptions::FromEnv() {
   TableOptions options;
-  options.use_legacy_store = GetEnvInt("MCSM_LEGACY_STORE", 0) != 0;
   options.page_budget_bytes =
       static_cast<uint64_t>(std::max<int64_t>(0, GetEnvInt("MCSM_PAGE_BUDGET", 0)));
   options.segment_bytes =
@@ -28,10 +27,6 @@ TableOptions TableOptions::FromEnv() {
 
 Table::Table(Schema schema, const TableOptions& options)
     : schema_(std::move(schema)), options_(options) {
-  if (options_.use_legacy_store) {
-    legacy_.resize(schema_.num_columns());
-    return;
-  }
   // The PagerSource is lazy: the spill file only gets created when a text
   // column seals its first segment, so small tables under a global
   // MCSM_PAGE_BUDGET stay purely in-memory.
@@ -93,13 +88,7 @@ Status Table::AppendRow(std::vector<Value> row) {
   for (size_t i = 0; i < row.size(); ++i) {
     MCSM_RETURN_IF_ERROR(CheckValue(i, &row[i]));
   }
-  if (options_.use_legacy_store) {
-    for (size_t i = 0; i < row.size(); ++i) {
-      legacy_[i].push_back(std::move(row[i]));
-    }
-  } else {
-    MCSM_RETURN_IF_ERROR(store_.AppendRow(row));
-  }
+  MCSM_RETURN_IF_ERROR(store_.AppendRow(row));
   ++num_rows_;
   return Status::OK();
 }
@@ -116,19 +105,10 @@ Status Table::SetCell(size_t row, size_t col, Value value) {
     return Status::OutOfRange("cell index out of range");
   }
   MCSM_RETURN_IF_ERROR(CheckValue(col, &value));
-  if (options_.use_legacy_store) {
-    legacy_[col][row] = std::move(value);
-    return Status::OK();
-  }
   return store_.Set(row, col, value);
 }
 
-ColumnView Table::Column(size_t col) const {
-  if (options_.use_legacy_store) {
-    return ColumnView(&legacy_[col], schema_.column(col).type);
-  }
-  return store_.View(col);
-}
+ColumnView Table::Column(size_t col) const { return store_.View(col); }
 
 std::vector<Value> Table::GetRow(size_t row) const {
   std::vector<Value> out;
@@ -150,64 +130,21 @@ Status Table::RemoveRows(const std::vector<size_t>& rows) {
     }
   }
   if (flagged == 0) return Status::OK();
-  if (options_.use_legacy_store) {
-    for (auto& col : legacy_) {
-      size_t write = 0;
-      for (size_t read = 0; read < col.size(); ++read) {
-        if (!remove[read]) {
-          if (write != read) col[write] = std::move(col[read]);
-          ++write;
-        }
-      }
-      col.resize(write);
-    }
-  } else {
-    MCSM_RETURN_IF_ERROR(store_.RemoveRows(remove));
-  }
+  MCSM_RETURN_IF_ERROR(store_.RemoveRows(remove));
   num_rows_ -= flagged;
   return Status::OK();
 }
 
 void Table::Truncate(size_t n) {
   if (n >= num_rows_) return;
-  if (options_.use_legacy_store) {
-    for (auto& col : legacy_) {
-      if (col.size() > n) col.resize(n);
-    }
-  } else {
-    store_.Truncate(n);
-  }
+  store_.Truncate(n);
   num_rows_ = n;
 }
-
-namespace {
-
-/// Legacy-store footprint: the Value vectors plus heap-allocated (non-SSO)
-/// text payloads. libstdc++'s SSO buffer holds 15 chars, so capacity() > 15
-/// implies a heap block of capacity()+1 bytes.
-uint64_t LegacyColumnBytes(const std::vector<Value>& col) {
-  uint64_t bytes = col.capacity() * sizeof(Value);
-  for (const Value& v : col) {
-    if (v.is_text() && v.text().capacity() > 15) {
-      bytes += v.text().capacity() + 1;
-    }
-  }
-  return bytes;
-}
-
-}  // namespace
 
 TableStats Table::Stats() const {
   TableStats stats;
   stats.rows = num_rows_;
   stats.columns = schema_.num_columns();
-  if (options_.use_legacy_store) {
-    stats.encoding = "legacy";
-    for (const auto& col : legacy_) {
-      stats.resident_bytes += LegacyColumnBytes(col);
-    }
-    return stats;
-  }
   stats.encoding =
       store_.pager_source() != nullptr ? "columnar+paged" : "columnar";
   for (size_t c = 0; c < store_.num_columns(); ++c) {
@@ -245,9 +182,7 @@ TableStats Table::Stats() const {
 }
 
 Status Table::storage_status() const {
-  if (options_.use_legacy_store || store_.pager_source() == nullptr) {
-    return Status::OK();
-  }
+  if (store_.pager_source() == nullptr) return Status::OK();
   const PagerSource& source = *store_.pager_source();
   MCSM_RETURN_IF_ERROR(source.status());  // spill-file creation failure
   std::shared_ptr<Pager> pager = source.TryGet();

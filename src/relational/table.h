@@ -40,9 +40,6 @@ class Schema {
 
 /// Storage configuration for one Table (DESIGN.md §13).
 struct TableOptions {
-  /// Rollback lever: the pre-columnar vector-of-Value row store. Kept for
-  /// one PR as the differential baseline; flipped by MCSM_LEGACY_STORE=1.
-  bool use_legacy_store = false;
   /// When nonzero, sealed text segments spill to a temp file and fault back
   /// through an LRU cache capped at this many bytes (MCSM_PAGE_BUDGET).
   uint64_t page_budget_bytes = 0;
@@ -50,7 +47,7 @@ struct TableOptions {
   /// (MCSM_PAGE_BYTES).
   size_t segment_bytes = 0;
 
-  /// Reads MCSM_LEGACY_STORE / MCSM_PAGE_BUDGET / MCSM_PAGE_BYTES.
+  /// Reads MCSM_PAGE_BUDGET / MCSM_PAGE_BYTES.
   static TableOptions FromEnv();
 };
 
@@ -59,7 +56,7 @@ struct TableStats {
   uint64_t rows = 0;
   uint64_t columns = 0;
   /// Bytes held in RAM right now: row metadata, null bitmaps, numeric
-  /// arrays, open tails, resident sealed segments (legacy: the whole store).
+  /// arrays, open tails, resident sealed segments.
   uint64_t resident_bytes = 0;
   /// Bytes of live sealed segments whose home is the spill file.
   uint64_t spilled_bytes = 0;
@@ -67,20 +64,19 @@ struct TableStats {
   uint64_t resident_pages = 0;
   /// Live sealed segments currently only on disk.
   uint64_t spilled_pages = 0;
-  /// "legacy" | "columnar" | "columnar+paged".
+  /// "columnar" | "columnar+paged".
   std::string encoding;
 };
 
-/// \brief Column-oriented table: arena-backed columnar storage by default
-/// (ColumnStore; optionally paged to disk), or the legacy row store behind
-/// `TableOptions::use_legacy_store`.
+/// \brief Column-oriented table over arena-backed columnar storage
+/// (ColumnStore; optionally paged to disk).
 ///
 /// Appends validate value types against the schema (integers are accepted
 /// into REAL columns and widened). Reads go through the span-based view API:
 /// `Column()` returns a ColumnView, `TextAt()`/`ValueAt()` are per-cell
 /// conveniences. The old reference-returning accessors
 /// (`cell()`/`column()`/`CellText()`) are gone — lint rule TS001 keeps them
-/// out (`relational/table_compat.h` is the one-PR shim for stragglers).
+/// out.
 ///
 /// Copying a Table deep-copies row metadata but shares sealed (immutable)
 /// text segments and the spill file; both copies may keep appending —
@@ -156,8 +152,6 @@ class Table {
   Schema schema_;
   TableOptions options_;
   size_t num_rows_ = 0;  ///< explicit: correct even for zero-column schemas
-  /// Exactly one backend holds data: legacy_ iff options_.use_legacy_store.
-  std::vector<std::vector<Value>> legacy_;
   ColumnStore store_;
 };
 

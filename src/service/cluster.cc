@@ -13,48 +13,6 @@ namespace mcsm::service {
 
 namespace {
 
-constexpr int kSchemaVersion = 1;
-
-HttpResponse JsonResponse(int status, Json body) {
-  if (body.is_object()) {
-    body.Set("schema_version",
-             Json::Number(static_cast<double>(kSchemaVersion)));
-  }
-  HttpResponse response;
-  response.status = status;
-  response.body = body.Dump();
-  return response;
-}
-
-HttpResponse ErrorResponse(int status, std::string_view message) {
-  Json out = Json::Object();
-  out.Set("error", Json::Str(std::string(message)));
-  return JsonResponse(status, std::move(out));
-}
-
-/// Strips the "/v1" API prefix (same normalization DiscoveryService applies).
-std::string_view NormalizePath(std::string_view path, bool* versioned) {
-  constexpr std::string_view kPrefix = "/v1/";
-  if (path.size() >= kPrefix.size() &&
-      path.substr(0, kPrefix.size()) == kPrefix) {
-    if (versioned != nullptr) *versioned = true;
-    return path.substr(3);  // keep the leading '/'
-  }
-  if (versioned != nullptr) *versioned = false;
-  return path;
-}
-
-bool ParseJobId(std::string_view tail, uint64_t* id) {
-  if (tail.empty() || tail.size() > 18) return false;
-  uint64_t value = 0;
-  for (char c : tail) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *id = value;
-  return true;
-}
-
 /// Extracts "state" from a job-snapshot JSON body; empty when unparseable.
 std::string SnapshotState(const std::string& body) {
   auto parsed = Json::Parse(body);
@@ -284,12 +242,7 @@ ClusterRouter::ClusterRouter(std::vector<Member> members,
 
 HttpResponse ClusterRouter::Handle(const HttpRequest& request) {
   WallTimer timer;
-  bool versioned = false;
-  const std::string_view path = NormalizePath(request.path, &versioned);
-  HttpResponse response = Route(request, path);
-  if (!versioned) {
-    response.headers.emplace_back("Deprecation", "true");
-  }
+  HttpResponse response = Route(request, NormalizePath(request.path));
   forward_latency_.Record(static_cast<uint64_t>(timer.Seconds() * 1000.0));
   // ordering: relaxed — monotonic metrics counter.
   requests_total_.fetch_add(1, std::memory_order_relaxed);

@@ -19,6 +19,9 @@ namespace mcsm::service {
 
 namespace {
 
+/// Wire-format version, included in every JSON object response.
+constexpr int kSchemaVersion = 1;
+
 std::string ToLower(std::string_view s) {
   std::string out(s);
   for (char& c : out) {
@@ -218,6 +221,40 @@ std::string SerializeResponse(const HttpResponse& response) {
   out += "Connection: close\r\n\r\n";
   out += response.body;
   return out;
+}
+
+HttpResponse JsonResponse(int status, Json body) {
+  if (body.is_object()) {
+    body.Set("schema_version",
+             Json::Number(static_cast<double>(kSchemaVersion)));
+  }
+  HttpResponse response;
+  response.status = status;
+  response.body = body.Dump();
+  return response;
+}
+
+HttpResponse ErrorResponse(int status, std::string_view message) {
+  Json out = Json::Object();
+  out.Set("error", Json::Str(std::string(message)));
+  return JsonResponse(status, std::move(out));
+}
+
+std::string_view NormalizePath(std::string_view path) {
+  constexpr std::string_view kPrefix = "/v1/";
+  if (path.substr(0, kPrefix.size()) != kPrefix) return {};
+  return path.substr(kPrefix.size() - 1);  // keep the leading '/'
+}
+
+bool ParseJobId(std::string_view tail, uint64_t* id) {
+  if (tail.empty() || tail.size() > 18) return false;
+  uint64_t value = 0;
+  for (char c : tail) {
+    if (c < '0' || c > '9') return false;
+    value = value * 10 + static_cast<uint64_t>(c - '0');
+  }
+  *id = value;
+  return true;
 }
 
 HttpServer::HttpServer(Options options, Handler handler)

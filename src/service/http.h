@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -14,6 +15,7 @@
 #include "common/annotations.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
+#include "service/json.h"
 
 namespace mcsm::service {
 
@@ -35,9 +37,9 @@ struct HttpResponse {
   int status = 200;
   std::string content_type = "application/json";
   std::string body;
-  /// Extra response headers (e.g. "Deprecation" on legacy unversioned
-  /// routes). Content-Type/Content-Length/Connection are emitted by
-  /// SerializeResponse and must not be duplicated here.
+  /// Extra response headers (e.g. "Retry-After" on 429). Content-Type/
+  /// Content-Length/Connection are emitted by SerializeResponse and must not
+  /// be duplicated here.
   std::vector<std::pair<std::string, std::string>> headers;
 };
 
@@ -65,6 +67,20 @@ const char* StatusText(int status);
 /// Renders a full HTTP/1.1 response with Content-Length and
 /// "Connection: close" (the server is strictly one-request-per-connection).
 std::string SerializeResponse(const HttpResponse& response);
+
+/// A JSON response; object bodies gain "schema_version": 1, the wire-format
+/// version.
+HttpResponse JsonResponse(int status, Json body);
+
+/// {"error": message, "schema_version": 1} with the given status.
+HttpResponse ErrorResponse(int status, std::string_view message);
+
+/// Strips the "/v1" API prefix: "/v1/jobs" -> "/jobs". A path outside /v1/
+/// maps to the empty path, which no route matches (404).
+std::string_view NormalizePath(std::string_view path);
+
+/// Parses the {id} tail of /jobs/{id}; false for empty/non-numeric tails.
+bool ParseJobId(std::string_view tail, uint64_t* id);
 
 /// \brief Minimal embedded HTTP/1.1 server: one blocking accept-loop thread
 /// plus a Background worker pool that parses, dispatches to the handler, and

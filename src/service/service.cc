@@ -13,33 +13,8 @@ namespace mcsm::service {
 
 namespace {
 
-/// Current wire-format version, included in every JSON response.
-constexpr int kSchemaVersion = 1;
-
-HttpResponse JsonResponse(int status, Json body) {
-  if (body.is_object()) {
-    body.Set("schema_version",
-             Json::Number(static_cast<double>(kSchemaVersion)));
-  }
-  HttpResponse response;
-  response.status = status;
-  response.body = body.Dump();
-  return response;
-}
-
-/// JSON error with schema_version — replaces the raw string literals so
-/// every JSON response, errors included, carries the version field.
-HttpResponse ErrorResponse(int status, std::string_view message) {
-  Json out = Json::Object();
-  out.Set("error", Json::Str(std::string(message)));
-  return JsonResponse(status, std::move(out));
-}
-
 HttpResponse StatusResponse(const Status& status) {
-  HttpResponse response;
-  response.status = HttpStatusFor(status);
-  response.body = ErrorBody(status);
-  return response;
+  return ErrorResponse(HttpStatusFor(status), status.message());
 }
 
 Json TableEntryJson(const TableEntry& entry) {
@@ -102,18 +77,6 @@ Json JobSnapshotJson(const JobSnapshot& snapshot) {
   return out;
 }
 
-/// Parses the {id} tail of /jobs/{id}; false for empty/non-numeric tails.
-bool ParseJobId(std::string_view tail, uint64_t* id) {
-  if (tail.empty() || tail.size() > 18) return false;
-  uint64_t value = 0;
-  for (char c : tail) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *id = value;
-  return true;
-}
-
 }  // namespace
 
 int HttpStatusFor(const Status& status) {
@@ -124,13 +87,6 @@ int HttpStatusFor(const Status& status) {
   return 500;
 }
 
-std::string ErrorBody(const Status& status) {
-  Json out = Json::Object();
-  out.Set("error", Json::Str(std::string(status.message())));
-  out.Set("schema_version", Json::Number(1));
-  return out.Dump();
-}
-
 DiscoveryService::DiscoveryService(Options options)
     : options_(options),
       cache_(options.cache_bytes),
@@ -139,31 +95,14 @@ DiscoveryService::DiscoveryService(Options options)
                                 options.retained_jobs, options.degrade_at,
                                 options.degraded_limits}) {}
 
-namespace {
-
-/// Strips the "/v1" API prefix; `*versioned` reports whether it was present.
-/// "/v1/jobs" -> "/jobs"; "/jobs" stays (a deprecated alias).
-std::string_view NormalizePath(std::string_view path, bool* versioned) {
-  constexpr std::string_view kPrefix = "/v1/";
-  if (path.size() >= kPrefix.size() &&
-      path.substr(0, kPrefix.size()) == kPrefix) {
-    if (versioned != nullptr) *versioned = true;
-    return path.substr(3);  // keep the leading '/'
-  }
-  if (versioned != nullptr) *versioned = false;
-  return path;
-}
-
-}  // namespace
-
 HttpResponse DiscoveryService::Handle(const HttpRequest& request) {
   const auto started = std::chrono::steady_clock::now();
-  HttpResponse response = Route(request);
+  const std::string_view path = NormalizePath(request.path);
+  HttpResponse response = Route(request, path);
   const uint64_t elapsed_ms = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now() - started)
           .count());
-  const std::string_view path = NormalizePath(request.path, nullptr);
   if (path == "/tables" || path.rfind("/tables/", 0) == 0) {
     tables_latency_.Record(elapsed_ms);
   } else if (path == "/jobs" || path.rfind("/jobs/", 0) == 0) {
@@ -181,19 +120,8 @@ HttpResponse DiscoveryService::Handle(const HttpRequest& request) {
   return response;
 }
 
-HttpResponse DiscoveryService::Route(const HttpRequest& request) {
-  bool versioned = false;
-  const std::string_view path = NormalizePath(request.path, &versioned);
-  HttpResponse response = RouteNormalized(request, path);
-  if (!versioned) {
-    // Deprecated unversioned alias: identical behaviour, flagged response.
-    response.headers.emplace_back("Deprecation", "true");
-  }
-  return response;
-}
-
-HttpResponse DiscoveryService::RouteNormalized(const HttpRequest& request,
-                                               std::string_view path) {
+HttpResponse DiscoveryService::Route(const HttpRequest& request,
+                                    std::string_view path) {
   if (path == "/healthz") {
     if (request.method != "GET") {
       return ErrorResponse(405, "method not allowed");

@@ -16,10 +16,8 @@ namespace mcsm::service {
 /// registry, index cache and job manager, and renders /metrics.
 ///
 /// The API is versioned under /v1/ and every JSON response carries
-/// "schema_version": 1. The original unversioned paths remain as deprecated
-/// aliases: they behave identically but answer with a "Deprecation: true"
-/// response header. Endpoints (all request/response bodies are JSON unless
-/// noted):
+/// "schema_version": 1; a path outside /v1/ answers 404. Endpoints (all
+/// request/response bodies are JSON unless noted):
 ///   POST   /v1/tables         {"name","csv"[,"permissive"]} -> table entry
 ///   GET    /v1/tables         -> {"tables":[...]}
 ///   GET    /v1/tables/{name}  -> table entry + "storage" stats (encoding,
@@ -79,10 +77,8 @@ class DiscoveryService {
   std::string RenderMetrics() const;
 
  private:
-  HttpResponse Route(const HttpRequest& request);
-  /// Dispatches an already /v1-stripped path.
-  HttpResponse RouteNormalized(const HttpRequest& request,
-                               std::string_view path);
+  /// Dispatches `path`, the request path with its /v1 prefix stripped.
+  HttpResponse Route(const HttpRequest& request, std::string_view path);
   HttpResponse HandlePostTables(const HttpRequest& request);
   HttpResponse HandleGetTables();
   HttpResponse HandleTableByName(const HttpRequest& request,
@@ -110,9 +106,6 @@ class DiscoveryService {
 
 /// Maps a Status to the HTTP code documented on DiscoveryService.
 int HttpStatusFor(const Status& status);
-
-/// Renders {"error": "..."} with proper escaping.
-std::string ErrorBody(const Status& status);
 
 }  // namespace mcsm::service
 

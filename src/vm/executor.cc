@@ -33,9 +33,13 @@ size_t Executor::ExecuteRange(const relational::Table& source, size_t begin,
   size_t row = begin;
   while (row < end) {
     const size_t quantum = std::min(kChargeQuantum, end - row);
-    // Charge before executing: when the charge trips, none of the quantum's
-    // rows ran, so the processed count stays an exact row boundary.
-    if (budget != nullptr && !budget->ChargeRows(quantum)) break;
+    // Check before executing: when the run stops, none of the quantum's rows
+    // ran, so the processed count stays an exact row boundary. A rows trip
+    // refused the rows after the admitted prefix, not these.
+    if (budget != nullptr && budget->trip() != BudgetTrip::kRows &&
+        budget->Exhausted()) {
+      break;
+    }
     for (const size_t stop = row + quantum; row < stop; ++row) {
       const size_t row_start = out->bytes.size();
       bool covered = true;
@@ -82,6 +86,23 @@ size_t Executor::ExecuteRange(const relational::Table& source, size_t begin,
   return row - begin;
 }
 
+namespace {
+
+// Charges rows [0, rows) to `budget` (nullable) in kChargeQuantum steps from
+// row 0; returns the length of the prefix paid for before a charge tripped.
+size_t AdmitRows(RunBudget* budget, size_t rows) {
+  if (budget == nullptr) return rows;
+  size_t admitted = 0;
+  while (admitted < rows) {
+    const size_t quantum = std::min(Executor::kChargeQuantum, rows - admitted);
+    if (!budget->ChargeRows(quantum)) break;
+    admitted += quantum;
+  }
+  return admitted;
+}
+
+}  // namespace
+
 Result<TranslateResult> Translate(const Program& program,
                                   const relational::Table& source,
                                   const TranslateOptions& options) {
@@ -96,8 +117,13 @@ Result<TranslateResult> Translate(const Program& program,
   if (total_rows > UINT32_MAX) {
     return Status::InvalidArgument("table exceeds u32 row-id range");
   }
-  const size_t num_batches = (total_rows + batch_rows - 1) / batch_rows;
   RunBudget* budget = options.budget;
+  // The rows axis is settled before any row runs, by one rule for every
+  // thread count and batch size: charge the table in kChargeQuantum steps
+  // from row 0 and dispatch only the prefix paid for. Batches that charged
+  // as they ran could spend, out of order, the cap an earlier batch needed.
+  const size_t admitted = AdmitRows(budget, total_rows);
+  const size_t num_batches = (admitted + batch_rows - 1) / batch_rows;
 
   TranslateResult result;
   if (num_batches <= 1 || options.num_threads == 1) {
@@ -105,22 +131,22 @@ Result<TranslateResult> Translate(const Program& program,
     Executor executor(program);
     TranslationChunk chunk;
     result.rows_processed =
-        executor.ExecuteRange(source, 0, total_rows, budget, &chunk);
+        executor.ExecuteRange(source, 0, admitted, budget, &chunk);
     result.rows = std::move(chunk.rows);
     result.offsets = std::move(chunk.offsets);
     result.bytes = std::move(chunk.bytes);
   } else {
     // Parallel path: per-batch chunks written into private slots, merged in
-    // batch order afterwards (the PR 3 determinism idiom — scheduling can
-    // never reorder output). Each worker charges the shared budget; a batch
-    // that starts after the trip processes zero rows.
+    // batch order afterwards, so scheduling can never reorder output. A
+    // deadline or cancellation stops each running batch at its next quantum;
+    // a batch that starts after the trip processes zero rows.
     std::vector<TranslationChunk> chunks(num_batches);
     std::vector<size_t> processed(num_batches, 0);
     ThreadPool pool(options.num_threads);
     pool.ParallelFor(num_batches, [&](size_t batch) {
       Executor executor(program);
       const size_t begin = batch * batch_rows;
-      const size_t end = std::min(begin + batch_rows, total_rows);
+      const size_t end = std::min(begin + batch_rows, admitted);
       processed[batch] =
           executor.ExecuteRange(source, begin, end, budget, &chunks[batch]);
     });
@@ -130,7 +156,7 @@ Result<TranslateResult> Translate(const Program& program,
     size_t keep = num_batches;
     for (size_t batch = 0; batch < num_batches; ++batch) {
       const size_t begin = batch * batch_rows;
-      const size_t end = std::min(begin + batch_rows, total_rows);
+      const size_t end = std::min(begin + batch_rows, admitted);
       result.rows_processed = begin + processed[batch];
       if (processed[batch] < end - begin) {
         keep = batch + 1;

@@ -51,9 +51,13 @@ class Executor {
 
   /// Executes rows [begin, end) of `source` (which must have at least
   /// program.min_columns() columns — checked by Translate, MCSM_CHECKed
-  /// here), appending covered rows to `out`. Charges `budget` (nullable) in
-  /// small row quanta and stops at a row boundary once it trips; returns the
-  /// number of rows actually processed, always a prefix of [begin, end).
+  /// here), appending covered rows to `out`. The rows are already charged
+  /// (Translate admits a prefix before dispatching it), so `budget`
+  /// (nullable) is only checked, once per quantum: the range stops at a row
+  /// boundary once the deadline elapses or the run is cancelled. After a
+  /// rows trip, which is sticky, neither can be recorded any more, and the
+  /// admitted rows run to the end — work the cap bounds. Returns the number
+  /// of rows processed, always a prefix of [begin, end).
   size_t ExecuteRange(const relational::Table& source, size_t begin,
                       size_t end, RunBudget* budget, TranslationChunk* out);
 
@@ -73,8 +77,9 @@ struct TranslateOptions {
   size_t batch_rows = 4096;
   /// Worker threads (ThreadPool semantics: 1 = fully inline, 0 = hardware).
   size_t num_threads = 1;
-  /// Optional shared budget; translation charges rows and stops early once
-  /// any axis trips, returning the processed prefix tagged truncated.
+  /// Optional shared budget. Translation charges the row cap before any row
+  /// runs and stops early once any axis trips, returning the processed
+  /// prefix tagged truncated.
   RunBudget* budget = nullptr;
 };
 
@@ -83,9 +88,10 @@ struct TranslateOptions {
 ///
 /// Output is byte-identical at every thread count for the same processed
 /// prefix: batches are merged in batch order and each row's bytes depend
-/// only on that row. (A tripping budget is charged in scheduling order, so
-/// *where* the prefix ends can vary across runs — the prefix's content
-/// cannot.)
+/// only on that row. A row cap cuts the same prefix at every thread count
+/// and batch size — whole kChargeQuantum steps from row 0 that fit under
+/// it. Only a deadline or a cancellation, which depend on timing, can make
+/// *where* the prefix ends vary across runs; the prefix's content cannot.
 struct TranslateResult {
   std::vector<uint32_t> rows;     ///< covered source row ids, ascending
   std::vector<uint32_t> offsets;  ///< rows.size()+1 offsets into bytes

@@ -7,6 +7,7 @@
 // leg), so every assertion must hold regardless of which sites the
 // environment arms on top of the programmatic ones.
 
+#include <cstdio>
 #include <set>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "service/job_manager.h"
 #include "service/registry.h"
 #include "sql/engine.h"
+#include "temp_path.h"
 
 namespace mcsm {
 namespace {
@@ -47,7 +49,7 @@ core::SearchOptions ChaosSearchOptions() {
 Status RunPipeline() {
   const datagen::Dataset& data = ChaosDataset();
 
-  const std::string path = ::testing::TempDir() + "mcsm_chaos.csv";
+  const std::string path = UniqueTempPath("mcsm_chaos", ".csv");
   MCSM_RETURN_IF_ERROR(relational::WriteCsvFile(data.source, path));
 
   relational::CsvOptions csv_options;
@@ -79,7 +81,10 @@ class ChaosTest : public ::testing::Test {
   // Restore whatever MCSM_FAILPOINTS specifies (nothing, in local runs) so
   // tests neither leak programmatic arms nor clobber the CI matrix state.
   void SetUp() override { failpoint::ReloadFromEnv(); }
-  void TearDown() override { failpoint::ReloadFromEnv(); }
+  void TearDown() override {
+    failpoint::ReloadFromEnv();
+    std::remove(UniqueTempPath("mcsm_chaos", ".csv").c_str());
+  }
 };
 
 TEST_F(ChaosTest, PipelineUnderEnvironmentFailpoints) {

@@ -352,6 +352,20 @@ TEST_F(RouterTest, HealthzAndUnknownRoutes) {
   EXPECT_EQ(Call("PATCH", "/v1/tables").status, 405);
   EXPECT_EQ(Call("GET", "/v1/jobs/abc").status, 400);
   EXPECT_EQ(Call("GET", "/v1/jobs/999").status, 404);
+  // Like the replicas, the router routes /v1/ only: the pre-/v1 paths answer
+  // 404 with the usual JSON error body and no Deprecation header.
+  for (const char* path :
+       {"/healthz", "/metrics", "/tables", "/jobs", "/jobs/1", "/v1"}) {
+    for (const char* method : {"GET", "POST"}) {
+      HttpResponse response = Call(method, path);
+      EXPECT_EQ(response.status, 404) << method << " " << path;
+      EXPECT_TRUE(response.headers.empty()) << method << " " << path;
+      auto body = Json::Parse(response.body);
+      ASSERT_TRUE(body.ok()) << response.body;
+      EXPECT_EQ(body->Find("error")->AsString(""), "no such endpoint");
+      EXPECT_EQ(body->Find("schema_version")->AsNumber(0), 1);
+    }
+  }
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // Storage-layer tests for the arena-backed columnar store (DESIGN.md §13):
 // pager spill/cache behavior, segment-boundary round-trips, mutation
 // (RemoveRows/Truncate/SetCell) property tests against a plain-vector
-// reference model, the legacy-backend equivalence contract, and the
-// zero-column num_rows regression.
+// reference model, view semantics, and the zero-column num_rows regression.
 #include "relational/column_store.h"
 
 #include <algorithm>
@@ -28,7 +27,6 @@ constexpr size_t kTinySegment = 64;
 
 TableOptions Columnar(size_t segment_bytes = 0) {
   TableOptions o;
-  o.use_legacy_store = false;
   o.segment_bytes = segment_bytes;
   return o;
 }
@@ -37,12 +35,6 @@ TableOptions Paged(uint64_t budget, size_t segment_bytes = kTinySegment) {
   TableOptions o;
   o.page_budget_bytes = budget;
   o.segment_bytes = segment_bytes;
-  return o;
-}
-
-TableOptions Legacy() {
-  TableOptions o;
-  o.use_legacy_store = true;
   return o;
 }
 
@@ -164,8 +156,6 @@ TEST(ColumnStoreTest, PagedAppendSpillsAndReadsBack) {
 }
 
 TEST(ColumnStoreTest, EncodingNames) {
-  EXPECT_EQ(Table::WithTextColumns({"a"}, Legacy()).Stats().encoding,
-            "legacy");
   EXPECT_EQ(Table::WithTextColumns({"a"}, Columnar()).Stats().encoding,
             "columnar");
   EXPECT_EQ(Table::WithTextColumns({"a"}, Paged(1024)).Stats().encoding,
@@ -192,10 +182,9 @@ class MutationProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(MutationProperty, RandomOpsMatchReferenceModel) {
   Rng rng(GetParam());
-  // Three backends driven by the same op sequence must agree with the model
-  // (and therefore with each other) after every step.
+  // Unpaged and paged stores driven by the same op sequence must agree with
+  // the model (and therefore with each other) after every step.
   std::vector<Table> tables;
-  tables.push_back(Table::WithTextColumns({"a"}, Legacy()));
   tables.push_back(Table::WithTextColumns({"a"}, Columnar(kTinySegment)));
   tables.push_back(Table::WithTextColumns({"a"}, Paged(/*budget=*/256)));
   Model model;
@@ -238,7 +227,7 @@ TEST_P(MutationProperty, RandomOpsMatchReferenceModel) {
   }
   // The paged run must actually have paged (the budget is far below the
   // churn) and stayed healthy.
-  EXPECT_TRUE(tables[2].storage_status().ok());
+  EXPECT_TRUE(tables[1].storage_status().ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MutationProperty,
@@ -306,7 +295,7 @@ TEST(ColumnViewTest, GetTextsBatchMatchesPointLookups) {
 }
 
 TEST(ColumnViewTest, NullAndNumericSemantics) {
-  for (const TableOptions& opts : {Legacy(), Columnar(kTinySegment)}) {
+  for (const TableOptions& opts : {Columnar(kTinySegment), Paged(1024)}) {
     Table t{Schema({{"s", ColumnType::kText},
                     {"n", ColumnType::kInteger},
                     {"r", ColumnType::kReal}}),
@@ -325,6 +314,11 @@ TEST(ColumnViewTest, NullAndNumericSemantics) {
     EXPECT_EQ(t.TextAt(0, 1).view(), "");       // non-text -> empty view
     EXPECT_TRUE(t.ValueAt(1, 2).is_null());
     EXPECT_EQ(t.ValueAt(0, 1), Value(int64_t{7}));
+    const uint32_t rows[] = {0, 1};
+    std::vector<TextView> texts;
+    t.Column(1).GetTexts(rows, 2, &texts);  // non-text -> empty views
+    ASSERT_EQ(texts.size(), 2u);
+    EXPECT_TRUE(texts[0].empty() && texts[1].empty());
   }
 }
 
@@ -334,7 +328,7 @@ TEST(ColumnViewTest, NullAndNumericSemantics) {
 TEST(TableTest, ZeroColumnSchemaCountsRows) {
   // Regression: num_rows() used to derive from column 0 and reported 0
   // for zero-column schemas no matter how many rows were appended.
-  for (const TableOptions& opts : {Legacy(), Columnar()}) {
+  for (const TableOptions& opts : {Columnar(), Paged(1024)}) {
     Table t{Schema(std::vector<ColumnDef>{}), opts};
     EXPECT_EQ(t.num_rows(), 0u);
     ASSERT_TRUE(t.AppendRow({}).ok());

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "temp_path.h"
+
 namespace mcsm::relational {
 namespace {
 
@@ -117,7 +119,7 @@ TEST(CsvTest, RoundTrip) {
 TEST(CsvTest, FileRoundTrip) {
   Table t = Table::WithTextColumns({"a"});
   ASSERT_TRUE(t.AppendTextRow({"hello"}).ok());
-  std::string path = ::testing::TempDir() + "/mcsm_csv_test.csv";
+  std::string path = UniqueTempPath("mcsm_csv_test", ".csv");
   ASSERT_TRUE(WriteCsvFile(t, path).ok());
   auto back = ReadCsvFile(path);
   ASSERT_TRUE(back.ok()) << back.status();

@@ -125,5 +125,66 @@ TEST(RunBudgetTest, TripNames) {
   EXPECT_STREQ(BudgetTripName(BudgetTrip::kFormulas), "formulas");
 }
 
+TEST(BudgetPhaseTest, AdmitsSlotsInOrderThroughTheFirstCrossing) {
+  // Slots finish in reverse order; each charges 2 pairs against a cap of 5.
+  // In slot order the totals are 2, 4, 6: slot 2 crosses the cap, so slots
+  // 0-2 are admitted and slot 3's work is dropped, whatever the order the
+  // slots ran in.
+  BudgetLimits limits;
+  limits.max_pairs_aligned = 5;
+  RunBudget budget(limits);
+  BudgetPhase phase(&budget, 4);
+  for (size_t slot = 4; slot-- > 0;) {
+    phase.Run(slot, [](RunBudget* meter) {
+      EXPECT_TRUE(meter->ChargePairs(2));  // alone, a slot fits the cap
+    });
+  }
+  EXPECT_EQ(budget.pairs_aligned(), 0u);  // nothing charged before Commit
+  EXPECT_EQ(phase.Commit(), 3u);
+  EXPECT_EQ(budget.pairs_aligned(), 6u);
+  EXPECT_EQ(budget.trip(), BudgetTrip::kPairs);
+}
+
+TEST(BudgetPhaseTest, MeterStartsFromTheRunAndSkipsDroppedSlots) {
+  BudgetLimits limits;
+  limits.max_candidate_formulas = 10;
+  RunBudget budget(limits);
+  ASSERT_TRUE(budget.ChargeFormulas(4));
+  BudgetPhase phase(&budget, 3);
+  // A meter starts from the run's counters: 4 + 7 crosses the cap of 10.
+  phase.Run(0, [](RunBudget* meter) {
+    EXPECT_EQ(meter->candidate_formulas(), 4u);
+    EXPECT_FALSE(meter->ChargeFormulas(7));
+    EXPECT_TRUE(meter->Exhausted());
+    EXPECT_EQ(meter->trip(), BudgetTrip::kFormulas);
+  });
+  EXPECT_FALSE(budget.Exhausted());  // the run trips only at Commit
+  // Slot 0 crossed the cap once every slot before it was done, so later
+  // slots are dropped without running.
+  bool ran = false;
+  phase.Run(1, [&](RunBudget*) { ran = true; });
+  phase.Run(2, [&](RunBudget*) { ran = true; });
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(phase.Commit(), 1u);
+  EXPECT_EQ(budget.candidate_formulas(), 11u);
+  EXPECT_EQ(budget.trip(), BudgetTrip::kFormulas);
+}
+
+TEST(BudgetPhaseTest, MetersSeeTheRunsCancellation) {
+  RunBudget budget;
+  BudgetPhase phase(&budget, 2);
+  phase.Run(0, [&](RunBudget* meter) {
+    EXPECT_FALSE(meter->Exhausted());
+    budget.Cancel();
+    EXPECT_TRUE(meter->Exhausted());
+    EXPECT_FALSE(meter->ChargePostings(1));
+  });
+  bool ran = false;
+  phase.Run(1, [&](RunBudget*) { ran = true; });
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(phase.Commit(), 2u);  // no cap crossed: both slots merge
+  EXPECT_EQ(budget.trip(), BudgetTrip::kCancelled);
+}
+
 }  // namespace
 }  // namespace mcsm

@@ -1,4 +1,4 @@
-// Fixture: TS001 — retired Table accessors outside the compat shim.
+// Fixture: TS001 — retired Table accessors, banned everywhere.
 // The view API (Column()/TextAt()/ValueAt()/IsNull()) replaced the
 // reference-returning surface; the old spellings must not come back.
 namespace fixture {

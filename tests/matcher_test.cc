@@ -2,6 +2,7 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -137,6 +138,83 @@ TEST(DiscoverTranslationTest, CitationDeadline50msTruncates) {
   ASSERT_TRUE(d.ok()) << d.status().ToString();
   EXPECT_TRUE(d->truncated());
   EXPECT_EQ(d->search.budget_trip, BudgetTrip::kWallClock);
+}
+
+// Run()'s coverage validation already computes the returned formula's
+// coverage, and DiscoverTranslation hands that result on instead of
+// recomputing it. On every datagen family it must equal a fresh
+// ComputeCoverage of the returned formula, match for match.
+TEST(DiscoverTranslationTest, CoverageEqualsFreshComputeCoverage) {
+  struct Case {
+    const char* name;
+    datagen::Dataset data;
+    SearchOptions options;
+  };
+  SearchOptions separators = FastOptions();
+  separators.detect_separators = true;
+  SearchOptions citation;
+  citation.sample_fraction = 0.05;
+  std::vector<Case> cases;
+  {
+    datagen::UserIdOptions o;
+    o.rows = 1000;
+    cases.push_back({"userid", datagen::MakeUserIdDataset(o), FastOptions()});
+  }
+  {
+    datagen::TimeOptions o;
+    o.rows = 1000;
+    cases.push_back({"time", datagen::MakeTimeDataset(o), FastOptions()});
+  }
+  {
+    datagen::MergedNamesOptions o;
+    o.rows = 1500;
+    o.distinct_names = 300;
+    cases.push_back(
+        {"mergednames", datagen::MakeMergedNamesDataset(o), FastOptions()});
+  }
+  {
+    datagen::CitationOptions o;
+    o.rows = 2000;
+    cases.push_back({"citation", datagen::MakeCitationDataset(o), citation});
+  }
+  {
+    datagen::CrossCitationOptions o;
+    o.target_rows = 2000;
+    o.source_rows = 1000;
+    o.exact_overlap = 400;
+    o.swapped_overlap = 100;
+    cases.push_back(
+        {"crosscitation", datagen::MakeCrossCitationDataset(o), citation});
+  }
+  {
+    datagen::DateFormatOptions o;
+    o.rows = 1000;
+    cases.push_back(
+        {"dateformat", datagen::MakeDateFormatDataset(o), separators});
+  }
+  {
+    datagen::PartNumberOptions o;
+    o.rows = 1000;
+    cases.push_back(
+        {"partnumber", datagen::MakePartNumberDataset(o), separators});
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto d = DiscoverTranslation(c.data.source, c.data.target,
+                                 c.data.target_column, c.options);
+    ASSERT_TRUE(d.ok()) << d.status().ToString();
+    ASSERT_TRUE(d->formula().IsComplete());
+    const Coverage fresh = TranslationSearch::ComputeCoverage(
+        d->formula(), c.data.source, c.data.target, c.data.target_column);
+    ASSERT_GT(fresh.matched_rows(), 0u);
+    ASSERT_EQ(d->coverage.matched_rows(), fresh.matched_rows());
+    for (size_t i = 0; i < fresh.matches.size(); ++i) {
+      EXPECT_EQ(d->coverage.matches[i].source_row,
+                fresh.matches[i].source_row);
+      EXPECT_EQ(d->coverage.matches[i].target_row,
+                fresh.matches[i].target_row);
+    }
+  }
 }
 
 }  // namespace

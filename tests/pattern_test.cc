@@ -13,6 +13,13 @@ struct LikeCase {
   bool matches;
 };
 
+// Names each case by its values: gtest's default printer dumps the struct's
+// raw bytes, pointers included, and ctest takes the test names from it.
+void PrintTo(const LikeCase& c, std::ostream* os) {
+  *os << "'" << c.text << "' LIKE '" << c.pattern << "' is "
+      << (c.matches ? "true" : "false");
+}
+
 class LikeMatchCases : public ::testing::TestWithParam<LikeCase> {};
 
 TEST_P(LikeMatchCases, Matches) {

@@ -334,8 +334,7 @@ TEST(SearchParallelTest, BudgetTruncationTripsTheSameAxisAtAnyThreadCount) {
     so.sample_fraction = 0.02;
     so.num_threads = threads;
     // Only the postings axis is capped, so it is the only axis that can
-    // trip; where exactly the trip lands may vary with scheduling, the
-    // recorded axis must not.
+    // trip (where it lands is pinned down by the test below).
     so.env.budget.max_postings_scanned = 2000;
     TranslationSearch search(data.source, data.target, data.target_column, so);
     auto result = search.Run();
@@ -343,6 +342,89 @@ TEST(SearchParallelTest, BudgetTruncationTripsTheSameAxisAtAnyThreadCount) {
     EXPECT_TRUE(result->truncated) << threads;
     EXPECT_EQ(result->budget_trip, BudgetTrip::kPostings) << threads;
     EXPECT_EQ(search.budget().trip(), BudgetTrip::kPostings);
+  }
+}
+
+// Everything a capped run reports: the work caps are charged through
+// per-slot meters and admitted in slot order, so none of it may depend on
+// the thread count or the scheduling.
+struct CappedSnapshot {
+  std::string formula;
+  size_t start_column = 0;
+  std::vector<std::tuple<size_t, std::string, size_t, double>> iterations;
+  bool truncated = false;
+  BudgetTrip result_trip = BudgetTrip::kNone;
+  BudgetTrip budget_trip = BudgetTrip::kNone;
+  std::vector<uint64_t> counters;
+
+  bool operator==(const CappedSnapshot&) const = default;
+};
+
+CappedSnapshot SnapshotCappedRun(const datagen::Dataset& data,
+                                 SearchOptions options, size_t threads) {
+  options.num_threads = threads;
+  TranslationSearch search(data.source, data.target, data.target_column,
+                           options);
+  auto result = search.Run();
+  EXPECT_TRUE(result.ok()) << result.status();
+  CappedSnapshot snap;
+  if (!result.ok()) return snap;
+  snap.formula = result->formula.ToString(data.source.schema());
+  snap.start_column = result->start_column;
+  for (const auto& it : result->iterations) {
+    snap.iterations.emplace_back(it.chosen_column, it.formula, it.support,
+                                 it.score);
+  }
+  snap.truncated = result->truncated;
+  snap.result_trip = result->budget_trip;
+  snap.budget_trip = search.budget().trip();
+  snap.counters = {result->stats.pairs_scored,
+                   result->stats.recipes_built,
+                   result->stats.formulas_considered,
+                   search.budget().postings_scanned(),
+                   search.budget().pairs_aligned(),
+                   search.budget().candidate_formulas()};
+  return snap;
+}
+
+TEST(SearchParallelTest, WorkCapsCutTheSameRunAtEveryThreadCount) {
+  datagen::UserIdOptions o;
+  o.rows = 1000;
+  auto data = datagen::MakeUserIdDataset(o);
+  const CappedSnapshot uncapped = SnapshotCappedRun(data, FastOptions(), 1);
+  ASSERT_EQ(uncapped.budget_trip, BudgetTrip::kNone);
+  struct Axis {
+    uint64_t BudgetLimits::*cap;
+    uint64_t used;  ///< what the uncapped run charged on this axis
+    BudgetTrip trip;
+  };
+  const Axis axes[] = {
+      {&BudgetLimits::max_postings_scanned, uncapped.counters[3],
+       BudgetTrip::kPostings},
+      {&BudgetLimits::max_pairs_aligned, uncapped.counters[4],
+       BudgetTrip::kPairs},
+      {&BudgetLimits::max_candidate_formulas, uncapped.counters[5],
+       BudgetTrip::kFormulas},
+  };
+  for (const Axis& axis : axes) {
+    ASSERT_GT(axis.used, 64u);
+    // Eight caps from the first charge to just short of the whole run, so
+    // trips land in step 2 and in the refinement iterations.
+    for (const uint64_t cap :
+         {uint64_t{1}, axis.used / 64, axis.used / 16, axis.used / 4,
+          axis.used / 2, axis.used * 3 / 4, axis.used * 7 / 8,
+          axis.used - 1}) {
+      SearchOptions so = FastOptions();
+      so.env.budget.*axis.cap = cap;
+      const CappedSnapshot one = SnapshotCappedRun(data, so, 1);
+      // A formula that still passes coverage validation is returned as a
+      // full success, so only the budget itself must show the trip.
+      EXPECT_EQ(one.budget_trip, axis.trip) << cap;
+      for (const size_t threads : {2, 4, 8}) {
+        EXPECT_EQ(SnapshotCappedRun(data, so, threads), one)
+            << "cap=" << cap << " threads=" << threads;
+      }
+    }
   }
 }
 

@@ -624,7 +624,7 @@ class ServiceRouteTest : public ::testing::Test {
   Json WaitForJob(const std::string& id_text) {
     for (int i = 0; i < 2000; ++i) {
       HttpResponse response =
-          service_.Handle(MakeHttpRequest("GET", "/jobs/" + id_text));
+          service_.Handle(MakeHttpRequest("GET", "/v1/jobs/" + id_text));
       auto body = Json::Parse(response.body);
       if (!body.ok()) break;
       const Json* state_field = body->Find("state");
@@ -640,10 +640,13 @@ class ServiceRouteTest : public ::testing::Test {
 };
 
 TEST_F(ServiceRouteTest, HealthzAndUnknownRoutes) {
-  EXPECT_EQ(service_.Handle(MakeHttpRequest("GET", "/healthz")).status, 200);
-  EXPECT_EQ(service_.Handle(MakeHttpRequest("POST", "/healthz")).status, 405);
-  EXPECT_EQ(service_.Handle(MakeHttpRequest("GET", "/nope")).status, 404);
-  EXPECT_EQ(service_.Handle(MakeHttpRequest("GET", "/jobs/abc")).status, 400);
+  EXPECT_EQ(service_.Handle(MakeHttpRequest("GET", "/v1/healthz")).status,
+            200);
+  EXPECT_EQ(service_.Handle(MakeHttpRequest("POST", "/v1/healthz")).status,
+            405);
+  EXPECT_EQ(service_.Handle(MakeHttpRequest("GET", "/v1/nope")).status, 404);
+  EXPECT_EQ(service_.Handle(MakeHttpRequest("GET", "/v1/jobs/abc")).status,
+            400);
 }
 
 TEST_F(ServiceRouteTest, HealthzReportsDrainingOnceDrainBegins) {
@@ -716,7 +719,7 @@ TEST_F(ServiceRouteTest, FullTableAndJobFlow) {
   table.Set("csv", Json::Str("first,last\nhenry,warner\nanna,smith\n"
                              "bob,jones\ncarol,white\n"));
   HttpResponse posted =
-      service_.Handle(MakeHttpRequest("POST", "/tables", table.Dump()));
+      service_.Handle(MakeHttpRequest("POST", "/v1/tables", table.Dump()));
   ASSERT_EQ(posted.status, 200) << posted.body;
 
   Json target = Json::Object();
@@ -724,11 +727,11 @@ TEST_F(ServiceRouteTest, FullTableAndJobFlow) {
   target.Set("csv",
              Json::Str("login\nhwarner\nasmith\nbjones\ncwhite\n"));
   ASSERT_EQ(
-      service_.Handle(MakeHttpRequest("POST", "/tables", target.Dump()))
+      service_.Handle(MakeHttpRequest("POST", "/v1/tables", target.Dump()))
           .status,
       200);
 
-  HttpResponse listed = service_.Handle(MakeHttpRequest("GET", "/tables"));
+  HttpResponse listed = service_.Handle(MakeHttpRequest("GET", "/v1/tables"));
   auto tables = Json::Parse(listed.body);
   ASSERT_TRUE(tables.ok());
   EXPECT_EQ(tables->Find("tables")->size(), 2u);
@@ -738,7 +741,7 @@ TEST_F(ServiceRouteTest, FullTableAndJobFlow) {
   job.Set("target_table", Json::Str("logins"));
   job.Set("target_column", Json::Number(0));
   HttpResponse accepted =
-      service_.Handle(MakeHttpRequest("POST", "/jobs", job.Dump()));
+      service_.Handle(MakeHttpRequest("POST", "/v1/jobs", job.Dump()));
   ASSERT_EQ(accepted.status, 202) << accepted.body;
   auto accepted_body = Json::Parse(accepted.body);
   ASSERT_TRUE(accepted_body.ok());
@@ -751,7 +754,7 @@ TEST_F(ServiceRouteTest, FullTableAndJobFlow) {
   EXPECT_EQ(done.Find("formula")->AsString(""), "first[1-1]last[1-n]");
 
   // Metrics text mentions the cache and the jobs counters.
-  HttpResponse metrics = service_.Handle(MakeHttpRequest("GET", "/metrics"));
+  HttpResponse metrics = service_.Handle(MakeHttpRequest("GET", "/v1/metrics"));
   EXPECT_EQ(metrics.status, 200);
   EXPECT_EQ(metrics.content_type, "text/plain");
   EXPECT_NE(metrics.body.find("mcsm_jobs_completed 1"), std::string::npos);
@@ -759,12 +762,12 @@ TEST_F(ServiceRouteTest, FullTableAndJobFlow) {
 }
 
 TEST_F(ServiceRouteTest, BadRequestsAreMapped) {
-  EXPECT_EQ(service_.Handle(MakeHttpRequest("POST", "/tables", "notjson"))
+  EXPECT_EQ(service_.Handle(MakeHttpRequest("POST", "/v1/tables", "notjson"))
                 .status,
             400);
-  EXPECT_EQ(service_.Handle(MakeHttpRequest("POST", "/tables", "[]")).status,
+  EXPECT_EQ(service_.Handle(MakeHttpRequest("POST", "/v1/tables", "[]")).status,
             400);
-  EXPECT_EQ(service_.Handle(MakeHttpRequest("POST", "/jobs",
+  EXPECT_EQ(service_.Handle(MakeHttpRequest("POST", "/v1/jobs",
                                             R"({"source_table":"x"})"))
                 .status,
             400);
@@ -772,13 +775,14 @@ TEST_F(ServiceRouteTest, BadRequestsAreMapped) {
   EXPECT_EQ(
       service_
           .Handle(MakeHttpRequest(
-              "POST", "/jobs",
+              "POST", "/v1/jobs",
               R"({"source_table":"x","target_table":"y","target_column":0})"))
           .status,
       404);
   // Unknown job id: 404 on GET and DELETE.
-  EXPECT_EQ(service_.Handle(MakeHttpRequest("GET", "/jobs/999")).status, 404);
-  EXPECT_EQ(service_.Handle(MakeHttpRequest("DELETE", "/jobs/999")).status,
+  EXPECT_EQ(service_.Handle(MakeHttpRequest("GET", "/v1/jobs/999")).status,
+            404);
+  EXPECT_EQ(service_.Handle(MakeHttpRequest("DELETE", "/v1/jobs/999")).status,
             404);
 }
 
@@ -790,12 +794,13 @@ TEST_F(ServiceRouteTest, NumThreadsValidated) {
       R"({"source_table":"x","target_table":"y","target_column":0,"num_threads":1.5})";
   const char* huge =
       R"({"source_table":"x","target_table":"y","target_column":0,"num_threads":10000000000})";
-  EXPECT_EQ(service_.Handle(MakeHttpRequest("POST", "/jobs", negative)).status,
-            400);
   EXPECT_EQ(
-      service_.Handle(MakeHttpRequest("POST", "/jobs", fractional)).status,
+      service_.Handle(MakeHttpRequest("POST", "/v1/jobs", negative)).status,
       400);
-  EXPECT_EQ(service_.Handle(MakeHttpRequest("POST", "/jobs", huge)).status,
+  EXPECT_EQ(
+      service_.Handle(MakeHttpRequest("POST", "/v1/jobs", fractional)).status,
+      400);
+  EXPECT_EQ(service_.Handle(MakeHttpRequest("POST", "/v1/jobs", huge)).status,
             400);
 }
 
@@ -804,13 +809,14 @@ TEST_F(ServiceRouteTest, LargeNumThreadsIsClampedNotFatal) {
   table.Set("name", Json::Str("people"));
   table.Set("csv", Json::Str("first,last\nhenry,warner\nanna,smith\n"));
   ASSERT_EQ(
-      service_.Handle(MakeHttpRequest("POST", "/tables", table.Dump())).status,
+      service_.Handle(MakeHttpRequest("POST", "/v1/tables", table.Dump()))
+          .status,
       200);
   Json target = Json::Object();
   target.Set("name", Json::Str("logins"));
   target.Set("csv", Json::Str("login\nhwarner\nasmith\n"));
   ASSERT_EQ(
-      service_.Handle(MakeHttpRequest("POST", "/tables", target.Dump()))
+      service_.Handle(MakeHttpRequest("POST", "/v1/tables", target.Dump()))
           .status,
       200);
 
@@ -822,7 +828,7 @@ TEST_F(ServiceRouteTest, LargeNumThreadsIsClampedNotFatal) {
   job.Set("target_column", Json::Number(0));
   job.Set("num_threads", Json::Number(1e9));
   HttpResponse accepted =
-      service_.Handle(MakeHttpRequest("POST", "/jobs", job.Dump()));
+      service_.Handle(MakeHttpRequest("POST", "/v1/jobs", job.Dump()));
   ASSERT_EQ(accepted.status, 202) << accepted.body;
   auto accepted_body = Json::Parse(accepted.body);
   ASSERT_TRUE(accepted_body.ok());
@@ -832,23 +838,24 @@ TEST_F(ServiceRouteTest, LargeNumThreadsIsClampedNotFatal) {
   EXPECT_EQ(done.Find("state")->AsString(""), "done");
 }
 
-bool HasDeprecationHeader(const HttpResponse& response) {
-  for (const auto& [name, value] : response.headers) {
-    if (name == "Deprecation") return value == "true";
-  }
-  return false;
-}
-
-TEST_F(ServiceRouteTest, V1RoutesAndDeprecatedAliases) {
-  // /v1/ is the canonical surface; the unversioned paths answer identically
-  // but flag themselves with a Deprecation header.
+TEST_F(ServiceRouteTest, V1RoutesAndUnversionedPathsAre404) {
+  // /v1/ is the only routed surface: the pre-/v1 paths answer 404 with the
+  // usual JSON error body, and nothing carries a Deprecation header.
   HttpResponse v1 = service_.Handle(MakeHttpRequest("GET", "/v1/healthz"));
   EXPECT_EQ(v1.status, 200);
-  EXPECT_FALSE(HasDeprecationHeader(v1));
-  HttpResponse legacy = service_.Handle(MakeHttpRequest("GET", "/healthz"));
-  EXPECT_EQ(legacy.status, 200);
-  EXPECT_TRUE(HasDeprecationHeader(legacy));
-  EXPECT_EQ(v1.body, legacy.body);
+  EXPECT_TRUE(v1.headers.empty());
+  for (const char* path : {"/healthz", "/metrics", "/tables", "/tables/t",
+                           "/jobs", "/jobs/1", "/jobs/1/trace", "/v1"}) {
+    for (const char* method : {"GET", "POST"}) {
+      HttpResponse response = service_.Handle(MakeHttpRequest(method, path));
+      EXPECT_EQ(response.status, 404) << method << " " << path;
+      EXPECT_TRUE(response.headers.empty()) << method << " " << path;
+      auto body = Json::Parse(response.body);
+      ASSERT_TRUE(body.ok()) << response.body;
+      EXPECT_EQ(body->Find("error")->AsString(""), "no such endpoint");
+      EXPECT_EQ(body->Find("schema_version")->AsNumber(0), 1);
+    }
+  }
 
   // Every JSON response carries the wire-format version — success and error.
   auto ok_body = Json::Parse(v1.body);
@@ -1019,18 +1026,21 @@ TEST(HttpServerTest, ServesOverRealSockets) {
   EXPECT_NE(health.find(R"("status":"ok")"), std::string::npos) << health;
   EXPECT_NE(health.find(R"("schema_version":1)"), std::string::npos);
 
-  // The deprecated unversioned alias serves the same body plus the header.
-  std::string legacy = FetchOnce(
+  // An unversioned path is not routed: 404, the JSON error, no header.
+  std::string unversioned = FetchOnce(
       server.port(), "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
-  EXPECT_NE(legacy.find("Deprecation: true\r\n"), std::string::npos)
-      << legacy;
-  EXPECT_NE(legacy.find(R"("status":"ok")"), std::string::npos);
+  EXPECT_NE(unversioned.find("HTTP/1.1 404"), std::string::npos)
+      << unversioned;
+  EXPECT_NE(unversioned.find(R"("error":"no such endpoint")"),
+            std::string::npos)
+      << unversioned;
+  EXPECT_EQ(unversioned.find("Deprecation"), std::string::npos) << unversioned;
 
   const std::string body =
       R"({"name":"t","csv":"a,b\nhenry,warner\n"})";
   std::string posted = FetchOnce(
       server.port(),
-      "POST /tables HTTP/1.1\r\nHost: x\r\nContent-Length: " +
+      "POST /v1/tables HTTP/1.1\r\nHost: x\r\nContent-Length: " +
           std::to_string(body.size()) + "\r\n\r\n" + body);
   EXPECT_NE(posted.find("HTTP/1.1 200 OK"), std::string::npos) << posted;
   EXPECT_NE(posted.find("\"rows\":1"), std::string::npos) << posted;
@@ -1044,7 +1054,7 @@ TEST(HttpServerTest, ServesOverRealSockets) {
   for (size_t i = 0; i < responses.size(); ++i) {
     clients.emplace_back([&responses, i, port = server.port()] {
       responses[i] =
-          FetchOnce(port, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
+          FetchOnce(port, "GET /v1/metrics HTTP/1.1\r\nHost: x\r\n\r\n");
     });
   }
   for (auto& t : clients) t.join();
@@ -1055,7 +1065,7 @@ TEST(HttpServerTest, ServesOverRealSockets) {
   server.Shutdown();
   // After shutdown the port refuses connections (empty response).
   EXPECT_EQ(FetchOnce(server.port(),
-                      "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"),
+                      "GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n"),
             "");
 }
 

@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "relational/column_index.h"
 #include "relational/table.h"
+#include "reference_index.h"
 
 namespace mcsm::text::simd {
 namespace {
@@ -177,10 +178,9 @@ relational::Table SyntheticTable(size_t rows, uint64_t seed) {
   return t;
 }
 
-relational::ColumnIndex::Options IndexOptions(bool legacy) {
+relational::ColumnIndex::Options IndexOptions() {
   relational::ColumnIndex::Options o;
   o.build_postings = true;
-  o.use_legacy_postings = legacy;
   return o;
 }
 
@@ -196,41 +196,102 @@ void ExpectSameScoredRows(
   }
 }
 
-TEST(SimdDifferentialTest, CompressedMatchesLegacyByteForByte) {
+TEST(SimdDifferentialTest, CompressedMatchesBruteForceReference) {
   relational::Table t = SyntheticTable(2000, 31);
-  relational::ColumnIndex compressed(t, 0, IndexOptions(false));
-  relational::ColumnIndex legacy(t, 0, IndexOptions(true));
-
   const std::vector<std::string> keys = {"alice smith", "frank", "smith99",
                                          "zzz", "bo", "erin wilson7"};
-  for (const std::string& key : keys) {
-    ExpectSameScoredRows(compressed.SimilarRows(key, 0.0, 50),
-                         legacy.SimilarRows(key, 0.0, 50),
-                         "SimilarRows " + key);
-    ExpectSameScoredRows(compressed.SimilarRowsByCount(key, 0.0, 50),
-                         legacy.SimilarRowsByCount(key, 0.0, 50),
-                         "SimilarRowsByCount " + key);
+  // The default per-key posting budget, and one tight enough to cut most
+  // keys' gram lists short.
+  for (size_t posting_budget : {size_t{20000}, size_t{700}}) {
+    relational::ColumnIndex::Options options = IndexOptions();
+    options.posting_budget = posting_budget;
+    const relational::ColumnIndex index(t, 0, options);
+    const reference::ReferenceIndex ref(t, 0, options.q, posting_budget);
+    const std::string budget = " budget=" + std::to_string(posting_budget);
+    for (const std::string& key : keys) {
+      ExpectSameScoredRows(index.SimilarRows(key, 0.0, 50),
+                           ref.SimilarRows(key, 0.0, 50),
+                           "SimilarRows " + key + budget);
+      ExpectSameScoredRows(index.SimilarRowsByCount(key, 0.0, 50),
+                           ref.SimilarRowsByCount(key, 0.0, 50),
+                           "SimilarRowsByCount " + key + budget);
+      EXPECT_EQ(index.RowsWithAnyQGram(key), ref.RowsWithAnyQGram(key)) << key;
+      EXPECT_EQ(index.TotalQGramHits(key), ref.TotalQGramHits(key)) << key;
+    }
   }
-  for (const char* like : {"%smith%", "alice%", "%son", "%zz%", "gr%ce"}) {
+  const relational::ColumnIndex::Options options = IndexOptions();
+  const relational::ColumnIndex index(t, 0, options);
+  const reference::ReferenceIndex ref(t, 0, options.q, options.posting_budget);
+  // "%a%" has no literal of q characters, so it takes the full-scan path.
+  for (const char* like :
+       {"%smith%", "alice%", "%son", "%zz%", "gr%ce", "%a%"}) {
     auto pattern = relational::SearchPattern::FromLikeString(like);
-    EXPECT_EQ(compressed.RowsMatchingPattern(pattern),
-              legacy.RowsMatchingPattern(pattern))
+    EXPECT_EQ(index.RowsMatchingPattern(pattern),
+              ref.RowsMatchingPattern(pattern))
         << like;
   }
-  for (const std::string& key : keys) {
-    EXPECT_EQ(compressed.RowsWithAnyQGram(key), legacy.RowsWithAnyQGram(key))
-        << key;
-    EXPECT_EQ(compressed.TotalQGramHits(key), legacy.TotalQGramHits(key))
-        << key;
+  for (const char* gram : {"it", "sm", "a ", "zz"}) {
+    const auto got = index.DecodedPostings(gram);
+    const auto want = ref.Postings(gram);
+    ASSERT_EQ(got.size(), want.size()) << gram;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].row, want[i].row) << gram << " at " << i;
+      EXPECT_EQ(got[i].tf, want[i].tf) << gram << " at " << i;
+    }
   }
-  EXPECT_EQ(
-      compressed.DecodedPostings("it").size(),
-      legacy.DecodedPostings("it").size());
+}
+
+// Short values over a four-letter alphabet make most bigram document
+// frequencies tie, which pins both the (df, id) term order and where the
+// per-key posting budget cuts; "ab" opens every text row, so its idf is 0;
+// NULL rows are not text and take no part.
+relational::Table TieHeavyTable(size_t rows, uint64_t seed) {
+  Rng rng(seed);
+  relational::Table t = relational::Table::WithTextColumns({"v"});
+  for (size_t i = 0; i < rows; ++i) {
+    if (rng.Uniform(10) == 0) {
+      EXPECT_TRUE(t.AppendRow({relational::Value::MakeNull()}).ok());
+    } else {
+      EXPECT_TRUE(
+          t.AppendTextRow({"ab" + rng.RandomString(rng.Uniform(7), "abcd")})
+              .ok());
+    }
+  }
+  return t;
+}
+
+TEST(SimdDifferentialTest, TiedFrequenciesAndBudgetsMatchReference) {
+  relational::Table t = TieHeavyTable(80, 53);
+  Rng rng(59);
+  for (size_t posting_budget :
+       {size_t{0}, size_t{15}, size_t{60}, size_t{20000}}) {
+    relational::ColumnIndex::Options options = IndexOptions();
+    options.posting_budget = posting_budget;
+    const relational::ColumnIndex index(t, 0, options);
+    const reference::ReferenceIndex ref(t, 0, options.q, posting_budget);
+    for (int trial = 0; trial < 100; ++trial) {
+      const std::string key = rng.RandomString(1 + rng.Uniform(9), "abcde");
+      // Whole thresholds equal some count scores exactly.
+      const double threshold = static_cast<double>(trial % 4);
+      const size_t top_r = 1 + rng.Uniform(40);
+      const std::string context = key + " budget=" +
+                                  std::to_string(posting_budget) +
+                                  " threshold=" + std::to_string(threshold);
+      ExpectSameScoredRows(index.SimilarRows(key, threshold, top_r),
+                           ref.SimilarRows(key, threshold, top_r),
+                           "SimilarRows " + context);
+      ExpectSameScoredRows(index.SimilarRowsByCount(key, threshold, top_r),
+                           ref.SimilarRowsByCount(key, threshold, top_r),
+                           "SimilarRowsByCount " + context);
+      EXPECT_EQ(index.RowsWithAnyQGram(key), ref.RowsWithAnyQGram(key)) << key;
+      EXPECT_EQ(index.TotalQGramHits(key), ref.TotalQGramHits(key)) << key;
+    }
+  }
 }
 
 TEST(SimdDifferentialTest, ScalarAndVectorRetrievalBitIdentical) {
   relational::Table t = SyntheticTable(1500, 37);
-  relational::ColumnIndex idx(t, 0, IndexOptions(false));
+  relational::ColumnIndex idx(t, 0, IndexOptions());
 
   LevelGuard guard;
   SetActiveLevelForTesting(Level::kScalar);
@@ -256,7 +317,7 @@ TEST(SimdDifferentialTest, FrozenDictionaryMatchesHashMapLookups) {
   // A dictionary with a foreign-length gram stays on the hash-map path;
   // a uniform one freezes. Both must answer identically.
   relational::Table t = SyntheticTable(300, 41);
-  relational::ColumnIndex idx(t, 0, IndexOptions(false));
+  relational::ColumnIndex idx(t, 0, IndexOptions());
   const text::QGramDictionary& dict = idx.tfidf().dictionary();
   ASSERT_TRUE(dict.frozen());
   Rng rng(43);

@@ -1,8 +1,8 @@
 // Storage-backend differentials: the determinism contract (DESIGN.md §8/§13)
 // extends over the storage engine — discovery must produce byte-identical
 // results AND byte-identical trace multisets whether the tables live in the
-// legacy row store, the columnar arena store, or the paged store under a
-// budget that forces spilling, at every thread count. Also: any chunking of
+// columnar arena store or the paged store under a budget that forces
+// spilling, at every thread count. Also: any chunking of
 // the same CSV bytes must parse to a byte-identical table and report.
 #include <algorithm>
 #include <sstream>
@@ -33,12 +33,6 @@ Table Rebuild(const Table& src, const TableOptions& options) {
     EXPECT_TRUE(t.AppendRow(src.GetRow(r)).ok());
   }
   return t;
-}
-
-TableOptions LegacyOpts() {
-  TableOptions o;
-  o.use_legacy_store = true;
-  return o;
 }
 
 TableOptions ColumnarOpts() { return TableOptions{}; }
@@ -138,11 +132,10 @@ std::vector<Family> TestFamilies() {
 TEST(StorageDifferentialTest, DiscoveryIdenticalAcrossBackendsAndThreads) {
   for (const Family& family : TestFamilies()) {
     SCOPED_TRACE(family.name);
-    // Baseline: legacy store, single thread.
-    RunOutput baseline = RunDiscovery(family.data, LegacyOpts(), 1);
+    // Baseline: unpaged columnar store, single thread.
+    RunOutput baseline = RunDiscovery(family.data, ColumnarOpts(), 1);
     ASSERT_FALSE(baseline.trace_ids.empty());
-    for (const TableOptions& storage :
-         {LegacyOpts(), ColumnarOpts(), PagedOpts()}) {
+    for (const TableOptions& storage : {ColumnarOpts(), PagedOpts()}) {
       for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
         SCOPED_TRACE(testing::Message()
                      << "encoding="

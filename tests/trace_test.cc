@@ -11,6 +11,7 @@
 #include "core/matcher.h"
 #include "core/search.h"
 #include "datagen/datasets.h"
+#include "temp_path.h"
 
 namespace mcsm {
 namespace {
@@ -107,7 +108,7 @@ TEST(TraceSinkTest, TeeFansOut) {
 }
 
 TEST(TraceSinkTest, JsonlSinkWritesOneJsonPerLine) {
-  const std::string path = ::testing::TempDir() + "/trace_test.jsonl";
+  const std::string path = UniqueTempPath("trace_test", ".jsonl");
   {
     auto sink = JsonlTraceSink::Open(path);
     ASSERT_TRUE(sink.ok()) << sink.status();

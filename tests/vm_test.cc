@@ -10,7 +10,6 @@
 #include "core/search.h"
 #include "core/sql_emitter.h"
 #include "datagen/datasets.h"
-#include "relational/column_index.h"
 #include "relational/database.h"
 #include "sql/engine.h"
 #include "vm/compiler.h"
@@ -419,8 +418,8 @@ TEST(VmBudgetTest, RowCapTripsMidBatchWithCleanPartial) {
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->truncated);
   EXPECT_EQ(result->budget_trip, BudgetTrip::kRows);
-  // The executor charges in kChargeQuantum=64 row quanta before executing:
-  // the first quantum fits under the 100-row cap, the second trips — so the
+  // Translate charges in kChargeQuantum=64 row quanta before executing: the
+  // first quantum fits under the 100-row cap, the second trips — so the
   // clean partial is exactly one quantum.
   EXPECT_EQ(result->rows_processed, Executor::kChargeQuantum);
   // And the partial is exactly Apply over that prefix.
@@ -454,6 +453,49 @@ TEST(VmBudgetTest, ParallelTripKeepsContiguousPrefix) {
   for (size_t i = 0; i < result->output_rows(); ++i) {
     EXPECT_EQ(result->rows[i], i);
     EXPECT_EQ(result->value(i), *oracle[i]);
+  }
+}
+
+TEST(VmBudgetTest, RowCapCutsTheSamePrefixAtEveryThreadCountAndBatchSize) {
+  // The rows axis is admitted before any row runs, so where a cap cuts
+  // depends on neither the thread count, the batch size nor the scheduling:
+  // every run is byte-identical to the inline run.
+  const Table t = WideTable(2000);
+  auto program = CompileFormula(LoginFormula(), t.schema());
+  ASSERT_TRUE(program.ok());
+  for (const uint64_t cap : {1, 63, 64, 65, 500, 1999, 2000, 5000}) {
+    BudgetLimits limits;
+    limits.max_rows_translated = cap;
+    RunBudget inline_budget(limits);
+    TranslateOptions inline_options;
+    inline_options.budget = &inline_budget;
+    auto expected = Translate(*program, t, inline_options);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    EXPECT_EQ(expected->truncated, cap < t.num_rows()) << cap;
+    EXPECT_EQ(expected->budget_trip,
+              cap < t.num_rows() ? BudgetTrip::kRows : BudgetTrip::kNone);
+    for (const size_t threads : {1, 2, 4, 8}) {
+      for (const size_t batch_rows : {7, 100, 4096}) {
+        for (int repeat = 0; repeat < 3; ++repeat) {
+          RunBudget budget(limits);
+          TranslateOptions options;
+          options.budget = &budget;
+          options.num_threads = threads;
+          options.batch_rows = batch_rows;
+          auto result = Translate(*program, t, options);
+          ASSERT_TRUE(result.ok()) << result.status();
+          SCOPED_TRACE(testing::Message() << "cap=" << cap << " threads="
+                                          << threads << " batch_rows="
+                                          << batch_rows);
+          EXPECT_EQ(result->rows_processed, expected->rows_processed);
+          EXPECT_EQ(result->truncated, expected->truncated);
+          EXPECT_EQ(result->budget_trip, expected->budget_trip);
+          EXPECT_EQ(result->rows, expected->rows);
+          EXPECT_EQ(result->offsets, expected->offsets);
+          EXPECT_EQ(result->bytes, expected->bytes);
+        }
+      }
+    }
   }
 }
 
@@ -528,37 +570,6 @@ TEST(VmDifferentialTest, PartNumberDataset) {
   core::SearchOptions so = FastOptions();
   so.detect_separators = true;
   DiscoverAndAgree(datagen::MakePartNumberDataset(o), so);
-}
-
-TEST(VmDifferentialTest, LegacyAndCompressedPostingsAgree) {
-  // Discovery with a legacy-postings target index and with the default
-  // block-compressed one must find the same formula, and that formula must
-  // translate to identical bytes through the VM.
-  datagen::UserIdOptions o;
-  o.rows = 2000;
-  auto data = datagen::MakeUserIdDataset(o);
-
-  std::string formulas[2];
-  std::string vm_bytes[2];
-  for (int legacy = 0; legacy < 2; ++legacy) {
-    relational::ColumnIndex::Options idx;
-    idx.q = 2;
-    idx.build_postings = true;
-    idx.use_legacy_postings = (legacy == 1);
-    core::SearchOptions so = FastOptions();
-    so.env.target_index =
-        std::make_shared<relational::ColumnIndex>(data.target, 0, idx);
-    auto d = core::DiscoverTranslation(data.source, data.target, 0, so);
-    ASSERT_TRUE(d.ok()) << d.status();
-    formulas[legacy] = d->formula().ToString(data.source.schema());
-    auto program = CompileFormula(d->formula(), data.source.schema());
-    ASSERT_TRUE(program.ok()) << program.status();
-    auto result = Translate(*program, data.source);
-    ASSERT_TRUE(result.ok()) << result.status();
-    vm_bytes[legacy] = result->bytes;
-  }
-  EXPECT_EQ(formulas[0], formulas[1]);
-  EXPECT_EQ(vm_bytes[0], vm_bytes[1]);
 }
 
 }  // namespace

@@ -48,10 +48,9 @@ LK001 additionally requires a rationale: `// lint: allow(LK001): <why>`):
          text/simd.h, so instruction-set concerns (and the bit-identical
          determinism contract) stay in one audited file.
   TS001  the retired Table accessors (`.cell(`, `->cell(`, `.CellText(`,
-         `->CellText(`) are banned outside relational/table_compat.h (the
-         one-PR migration shim). Read through the view API instead —
-         Column()/TextAt()/ValueAt()/IsNull(): views pin paged storage,
-         the old reference-returning accessors could not.
+         `->CellText(`) are banned everywhere. Read through the view API
+         instead — Column()/TextAt()/ValueAt()/IsNull(): views pin paged
+         storage, the old reference-returning accessors could not.
 
 Usage: tools/lint.py [--root DIR] [paths...]   (default: src/)
 Exit status: 0 clean, 1 findings, 2 usage error.
@@ -92,10 +91,6 @@ SYNC_WRAPPER_FILE = "src/common/annotations.h"
 # The one file allowed to include intrinsics headers (rule SI001): the SIMD
 # dispatch funnel. Everything else goes through text/simd.h.
 SIMD_FUNNEL_FILE = "src/text/simd.cc"
-
-# The one file allowed to spell the retired Table accessors (rule TS001):
-# the one-PR compatibility shim that wraps them as copying free functions.
-TABLE_COMPAT_FILE = "src/relational/table_compat.h"
 
 ASSERT_RE = re.compile(r"(?<![\w.])assert\s*\(")
 VALUE_CALL_RE = re.compile(r"\.\s*value\s*\(\s*\)")
@@ -282,7 +277,6 @@ def lint_file(root: Path, path: Path) -> list[Finding]:
     deterministic = rel.startswith(DETERMINISTIC_DIRS)
     sync_wrapper = rel == SYNC_WRAPPER_FILE
     simd_funnel = rel == SIMD_FUNNEL_FILE
-    table_compat = rel == TABLE_COMPAT_FILE
 
     for i, raw in enumerate(lines, start=1):
         cl = code[i - 1]
@@ -374,15 +368,14 @@ def lint_file(root: Path, path: Path) -> list[Finding]:
                             "call the dispatched kernels in text/simd.h "
                             "instead of spelling instruction sets here"))
 
-        # TS001 — retired Table accessors outside the compat shim.
-        if not table_compat and TABLE_ACCESSOR_RE.search(cl):
+        # TS001 — retired Table accessors.
+        if TABLE_ACCESSOR_RE.search(cl):
             if not suppressed(raw, "TS001"):
                 findings.append(
                     Finding(rel, i, "TS001",
                             "retired Table accessor (.cell()/.CellText()); "
                             "read through the view API — Column()/TextAt()/"
-                            "ValueAt()/IsNull() — or, as a one-PR crutch, "
-                            "the copying helpers in relational/table_compat.h"))
+                            "ValueAt()/IsNull()"))
 
         # MO001 — non-seq_cst memory orders need an adjacent rationale.
         if MEMORY_ORDER_RE.search(cl):

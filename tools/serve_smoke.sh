@@ -3,8 +3,8 @@
 # the server on an ephemeral port, registers two tables, submits a job,
 # polls it to completion, verifies the index cache shows a hit on a second
 # identical job, runs a traced job end-to-end (trace endpoint validated with
-# check_trace.py, explain field present), checks the deprecated unversioned
-# aliases still answer (with a Deprecation header), exercises 429
+# check_trace.py, explain field present), checks that unversioned paths
+# answer 404 (only /v1/ is routed), exercises 429
 # backpressure, and checks graceful SIGTERM drain (exit 0 with queued work
 # finished). Run from anywhere:
 #
@@ -49,16 +49,17 @@ http GET /v1/healthz
 echo "$BODY" | grep -q '"ok"' || fail "healthz body: $BODY"
 echo "$BODY" | grep -q '"schema_version":1' || fail "no schema_version: $BODY"
 
-# --- deprecated unversioned aliases -----------------------------------------
-# The pre-/v1 paths answer identically but carry a Deprecation header.
-curl -s -D "$WORKDIR/headers" -o "$WORKDIR/resp" "http://127.0.0.1:$PORT/healthz"
-grep -qi '^Deprecation: true' "$WORKDIR/headers" \
-  || fail "unversioned /healthz lacks Deprecation header"
-grep -q '"ok"' "$WORKDIR/resp" || fail "unversioned /healthz body broken"
-curl -s -D "$WORKDIR/headers" -o /dev/null "http://127.0.0.1:$PORT/v1/healthz"
+# --- unversioned paths -----------------------------------------------------
+# Only /v1/ is routed: the pre-/v1 paths answer 404 with the JSON error body.
+for path in /healthz /metrics /tables /jobs /jobs/1; do
+  http GET "$path"
+  [ "$HTTP_STATUS" = 404 ] || fail "unversioned $path -> $HTTP_STATUS, want 404"
+  echo "$BODY" | grep -q '"error"' || fail "unversioned $path body: $BODY"
+done
+curl -s -D "$WORKDIR/headers" -o /dev/null "http://127.0.0.1:$PORT/healthz"
 grep -qi '^Deprecation' "$WORKDIR/headers" \
-  && fail "/v1/healthz must not carry a Deprecation header"
-echo "deprecated aliases: OK"
+  && fail "unversioned /healthz must not carry a Deprecation header"
+echo "unversioned paths 404: OK"
 
 # --- register tables --------------------------------------------------------
 http POST /v1/tables '{"name":"people","csv":"first,last\nhenry,warner\nanna,smith\nbob,jones\ncarol,white\ndave,brown\neve,black\n"}'
