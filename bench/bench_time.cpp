@@ -3,8 +3,8 @@
 // paper recovers time = hour[1-2] + minutes[1-2] + seconds[1-2] and emits
 // the corresponding SQL, despite the heavily overlapping value domains.
 #include "bench/bench_util.h"
-#include "relational/database.h"
-#include "sql/engine.h"
+#include "vm/compiler.h"
+#include "vm/executor.h"
 
 using namespace mcsm;
 
@@ -24,16 +24,23 @@ int main() {
   bench::ReportDiscovery(data, *d, watch.Seconds());
   std::printf("# paper: time = hour[1-2] + minutes[1-2] + seconds[1-2]\n");
 
-  // Execute the emitted SQL end to end and verify it regenerates the target.
-  relational::Database db;
-  if (!db.CreateTable("t1", data.source).ok()) return 1;
-  sql::Engine engine(&db);
-  auto rs = engine.Execute(d->sql);
-  if (!rs.ok()) {
-    std::printf("emitted sql failed: %s\n", rs.status().ToString().c_str());
+  // Run the emitted SQL end to end: parse it back, compile, translate.
+  auto query = core::SqlEmitter::FromSql(d->sql, data.source.schema());
+  if (!query.ok()) {
+    std::printf("emitted sql failed: %s\n", query.status().ToString().c_str());
     return 1;
   }
-  std::printf("sql executed: %zu rows translated in the embedded engine\n",
-              rs->num_rows());
+  auto program = vm::CompileFormula(query->formula, data.source.schema());
+  if (!program.ok()) {
+    std::printf("compile failed: %s\n", program.status().ToString().c_str());
+    return 1;
+  }
+  auto result = vm::Translate(*program, data.source);
+  if (!result.ok()) {
+    std::printf("translate failed: %s\n", result.status().ToString().c_str());
+    return 1;
+  }
+  std::printf("sql executed: %zu rows translated by the parsed-back program\n",
+              result->output_rows());
   return 0;
 }

@@ -1,12 +1,14 @@
 // Quickstart: discover a multi-column substring translation on the paper's
 // Table 1 scenario — unlinked login names vs a table of first/middle/last
-// names — then emit and execute the translating SQL.
+// names — then emit the translating SQL and run it: parse it back to its
+// formula, compile that for the translation VM, and translate the table.
+#include <algorithm>
 #include <cstdio>
 
 #include "core/matcher.h"
 #include "datagen/datasets.h"
-#include "relational/database.h"
-#include "sql/engine.h"
+#include "vm/compiler.h"
+#include "vm/executor.h"
 
 int main() {
   using namespace mcsm;
@@ -38,19 +40,27 @@ int main() {
               d.coverage.matched_rows(), data.target.num_rows());
   std::printf("sql:      %s\n", d.sql.c_str());
 
-  // 3. Execute the emitted SQL in the embedded engine to translate for real.
-  relational::Database db;
-  Status st = db.CreateTable("t1", data.source);
-  if (!st.ok()) {
-    std::printf("%s\n", st.ToString().c_str());
+  // 3. Run the emitted SQL: parse it back, compile, translate for real.
+  auto query = core::SqlEmitter::FromSql(d.sql, data.source.schema());
+  if (!query.ok()) {
+    std::printf("sql failed: %s\n", query.status().ToString().c_str());
     return 1;
   }
-  sql::Engine engine(&db);
-  auto result = engine.Execute(d.sql + " limit 5");
+  auto program = vm::CompileFormula(query->formula, data.source.schema());
+  if (!program.ok()) {
+    std::printf("compile failed: %s\n", program.status().ToString().c_str());
+    return 1;
+  }
+  auto result = vm::Translate(*program, data.source);
   if (!result.ok()) {
-    std::printf("sql failed: %s\n", result.status().ToString().c_str());
+    std::printf("translate failed: %s\n", result.status().ToString().c_str());
     return 1;
   }
-  std::printf("first translated rows:\n%s", result->ToString().c_str());
+  std::printf("translated %zu rows; the first ones:\n",
+              result->output_rows());
+  for (size_t i = 0; i < std::min<size_t>(5, result->output_rows()); ++i) {
+    std::printf("  %.*s\n", static_cast<int>(result->value(i).size()),
+                result->value(i).data());
+  }
   return 0;
 }

@@ -13,9 +13,10 @@
 // second form replays a program saved earlier with --emit-program (or
 // discover_csv --emit-program), skipping discovery entirely. The output CSV
 // has one `translated` column holding the covered rows' values in source-row
-// order — byte-identical to running the emitted SQL through the embedded
-// engine, which `--via-sql` does instead of the VM (same output file format)
-// so CI can diff the two paths. --deadline-ms / --max-rows bound the run via
+// order. `--via-sql` builds the program from the emitted SQL instead of the
+// formula — parse it back (core::SqlEmitter::FromSql), then compile — so CI
+// can diff that path against a saved program. --deadline-ms / --max-rows
+// bound the run via
 // the shared RunBudget (Ctrl-C trips the same budget); on expiry the
 // processed prefix is written and the run reports TRUNCATED. Throughput is
 // reported in rows/sec. Without arguments, writes a small demo pair of CSV
@@ -29,8 +30,6 @@
 #include "core/matcher.h"
 #include "datagen/datasets.h"
 #include "relational/csv.h"
-#include "relational/database.h"
-#include "sql/engine.h"
 #include "vm/compiler.h"
 #include "vm/executor.h"
 
@@ -79,12 +78,12 @@ Status DumpFile(const char* path, std::string_view bytes) {
   return Status::OK();
 }
 
-/// Writes the single-column output CSV shared by the VM and SQL paths.
-Status WriteTranslatedCsv(const std::vector<std::string_view>& values,
+/// Writes the single-column output CSV of the covered rows' values.
+Status WriteTranslatedCsv(const vm::TranslateResult& result,
                           const std::string& path) {
   relational::Table out = relational::Table::WithTextColumns({"translated"});
-  for (std::string_view v : values) {
-    MCSM_RETURN_IF_ERROR(out.AppendTextRow({std::string(v)}));
+  for (size_t v = 0; v < result.output_rows(); ++v) {
+    MCSM_RETURN_IF_ERROR(out.AppendTextRow({std::string(result.value(v))}));
   }
   return relational::WriteCsvFile(out, path);
 }
@@ -187,7 +186,6 @@ int RealMain(int argc, const char** argv) {
 
   // Obtain the program: replay a saved one, or discover + compile.
   vm::Program program;
-  std::string sql;
   if (!discovery_mode) {
     std::string wire;
     Status st = SlurpFile(program_path, &wire);
@@ -220,8 +218,18 @@ int RealMain(int argc, const char** argv) {
     }
     std::printf("formula : %s\n",
                 d->formula().ToString(source->schema()).c_str());
-    sql = d->sql;
-    auto compiled = vm::CompileFormula(d->formula(), source->schema());
+    core::TranslationFormula formula = d->formula();
+    if (via_sql) {
+      // Compile what the emitted SQL says, not the formula it came from.
+      auto sql = core::SqlEmitter::ToSql(formula, source->schema(),
+                                         sql_options);
+      if (!sql.ok()) return Fail(sql.status());
+      std::printf("sql     : %s\n", sql->c_str());
+      auto query = core::SqlEmitter::FromSql(*sql, source->schema());
+      if (!query.ok()) return Fail(query.status());
+      formula = std::move(query->formula);
+    }
+    auto compiled = vm::CompileFormula(formula, source->schema());
     if (!compiled.ok()) return Fail(compiled.status());
     program = std::move(compiled.value());
     if (emit_program_path != nullptr) {
@@ -233,53 +241,29 @@ int RealMain(int argc, const char** argv) {
   }
 
   // Translate and write the output CSV. Only this phase is timed: the
-  // rows/sec figure is the VM's (or SQL engine's), not the CSV parser's.
+  // rows/sec figure is the VM's, not the CSV parser's.
   size_t rows_in = source->num_rows();
-  size_t rows_out = 0;
-  double seconds = 0;
-  if (via_sql) {
-    relational::Database db;
-    Status st = db.CreateTable("t1", *std::move(source));
-    if (!st.ok()) return Fail(st);
-    sql::Engine engine(&db);
-    WallTimer timer;
-    auto rs = engine.Execute(sql);
-    seconds = timer.Seconds();
-    if (!rs.ok()) return Fail(rs.status());
-    std::vector<std::string_view> values;
-    values.reserve(rs->rows.size());
-    for (const auto& row : rs->rows) values.push_back(row[0].text());
-    rows_out = values.size();
-    st = WriteTranslatedCsv(values, output_path);
-    if (!st.ok()) return Fail(st);
-  } else {
-    translate_options.budget = &budget;
-    WallTimer timer;
-    auto result = vm::Translate(program, *source, translate_options);
-    seconds = timer.Seconds();
-    if (!result.ok()) return Fail(result.status());
-    if (result->truncated) {
-      std::printf("TRUNCATED: %s budget exhausted after %zu / %zu rows\n",
-                  BudgetTripName(result->budget_trip), result->rows_processed,
-                  rows_in);
-      rows_in = result->rows_processed;
-    }
-    std::vector<std::string_view> values;
-    values.reserve(result->output_rows());
-    for (size_t v = 0; v < result->output_rows(); ++v) {
-      values.push_back(result->value(v));
-    }
-    rows_out = values.size();
-    Status st = WriteTranslatedCsv(values, output_path);
-    if (!st.ok()) return Fail(st);
+  translate_options.budget = &budget;
+  WallTimer timer;
+  auto result = vm::Translate(program, *source, translate_options);
+  const double seconds = timer.Seconds();
+  if (!result.ok()) return Fail(result.status());
+  if (result->truncated) {
+    std::printf("TRUNCATED: %s budget exhausted after %zu / %zu rows\n",
+                BudgetTripName(result->budget_trip), result->rows_processed,
+                rows_in);
+    rows_in = result->rows_processed;
   }
+  Status st = WriteTranslatedCsv(*result, output_path);
+  if (!st.ok()) return Fail(st);
 
   const double rows_per_sec = seconds > 0 ? rows_in / seconds : 0;
   std::printf("%s: %zu rows in -> %zu translated in %.1f ms (%.0f rows/sec, "
-              "%s path, %zu threads)\n",
-              output_path.c_str(), rows_in, rows_out, seconds * 1e3,
-              rows_per_sec, via_sql ? "sql" : "vm",
-              via_sql ? 1 : translate_options.num_threads);
+              "program from %s, %zu threads)\n",
+              output_path.c_str(), rows_in, result->output_rows(),
+              seconds * 1e3, rows_per_sec,
+              !discovery_mode ? "file" : (via_sql ? "sql" : "formula"),
+              translate_options.num_threads);
   return 0;
 }
 

@@ -5,7 +5,8 @@
 //      over a hostile little table without crashing, without OOB reads (the
 //      sanitizers watch), and deterministically across thread counts.
 //   2. Compile oracle: the same bytes are re-read as a formula description;
-//      if it compiles, the wire form must round-trip exactly and the
+//      if it compiles, the wire form must round-trip exactly, the emitted
+//      SQL must parse back to a formula with the same wire bytes, and the
 //      executor's output must equal TranslationFormula::Apply row for row —
 //      the subsystem's three-way acceptance contract, with Apply as oracle.
 
@@ -18,6 +19,7 @@
 
 #include "common/check.h"
 #include "core/formula.h"
+#include "core/sql_emitter.h"
 #include "relational/table.h"
 #include "vm/compiler.h"
 #include "vm/executor.h"
@@ -128,6 +130,16 @@ void FuzzCompileOracle(const uint8_t* data, size_t size) {
   MCSM_CHECK(decoded.ok()) << decoded.status();
   MCSM_CHECK(*decoded == *program);
   (void)program->Disassemble();  // must not crash on any literal bytes
+
+  // The emitted SQL, parsed back, is the same program.
+  using mcsm::core::SqlEmitter;
+  auto sql = SqlEmitter::ToSql(formula, FuzzTable().schema(), {});
+  MCSM_CHECK(sql.ok()) << sql.status();
+  auto query = SqlEmitter::FromSql(*sql, FuzzTable().schema());
+  MCSM_CHECK(query.ok()) << query.status() << " for " << *sql;
+  auto parsed = mcsm::vm::CompileFormula(query->formula, FuzzTable().schema());
+  MCSM_CHECK(parsed.ok()) << parsed.status() << " for " << *sql;
+  MCSM_CHECK(parsed->Serialize() == program->Serialize()) << *sql;
 
   // Execute and compare to the Apply oracle row for row.
   auto result = mcsm::vm::Translate(*program, FuzzTable());

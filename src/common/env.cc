@@ -31,6 +31,4 @@ std::string GetEnvString(const char* name, const std::string& def) {
   return std::string(v);
 }
 
-double BenchScale() { return GetEnvDouble("MCSM_SCALE", 1.0); }
-
 }  // namespace mcsm

@@ -17,10 +17,6 @@ int64_t GetEnvInt(const char* name, int64_t def);
 /// Reads an environment variable as a string, falling back to `def`.
 std::string GetEnvString(const char* name, const std::string& def);
 
-/// Global scale factor for benchmark dataset sizes: MCSM_SCALE (default 1.0).
-/// Benchmarks multiply their default row counts by this factor.
-double BenchScale();
-
 }  // namespace mcsm
 
 #endif  // MCSM_COMMON_ENV_H_

@@ -39,8 +39,8 @@ Registry& GetRegistry() {
 
 constexpr const char* kAllSites[] = {
     kCsvRead, kCsvWrite, kIndexSimilar, kIndexPattern, kSamplerSample,
-    kSqlExecute, kServiceAccept, kServiceJob, kClientConnect, kClientRead,
-    kPagerRead, kPagerWrite,
+    kServiceAccept, kServiceJob, kClientConnect, kClientRead, kPagerRead,
+    kPagerWrite,
 };
 
 bool IsRegisteredSite(std::string_view site) {

@@ -36,7 +36,6 @@ inline constexpr const char* kCsvWrite = "csv.write";
 inline constexpr const char* kIndexSimilar = "index.similar";
 inline constexpr const char* kIndexPattern = "index.pattern";
 inline constexpr const char* kSamplerSample = "sampler.sample";
-inline constexpr const char* kSqlExecute = "sql.execute";
 inline constexpr const char* kServiceAccept = "service.accept";
 inline constexpr const char* kServiceJob = "service.job";
 inline constexpr const char* kClientConnect = "client.connect";

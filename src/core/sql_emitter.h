@@ -2,6 +2,7 @@
 #define MCSM_CORE_SQL_EMITTER_H_
 
 #include <string>
+#include <string_view>
 
 #include "common/result.h"
 #include "core/formula.h"
@@ -20,6 +21,11 @@ namespace mcsm::core {
 /// The WHERE clauses guard exactly the rows the formula covers: fixed spans
 /// require the full width to be present, end-of-string spans require at
 /// least one character from their start position.
+///
+/// FromSql is the inverse, so this class owns the emitted dialect. Running a
+/// query means parsing it back and compiling the formula for the VM
+/// (vm::CompileFormula, vm::Translate); TranslationFormula::Apply is the
+/// semantic oracle both sides are tested against.
 class SqlEmitter {
  public:
   struct Options {
@@ -27,10 +33,29 @@ class SqlEmitter {
     std::string output_column = "translated";
   };
 
-  /// Fails with InvalidArgument when the formula still has Unknown regions.
+  /// Fails with InvalidArgument when the formula still has Unknown regions,
+  /// or when it references a column whose name another column of `schema`
+  /// shares, ignoring case (unquoted SQL names cannot tell them apart).
   static Result<std::string> ToSql(const TranslationFormula& formula,
                                    const relational::Schema& schema,
                                    const Options& options);
+
+  /// A parsed statement: the formula it renders, and its own table name and
+  /// output alias (lower-cased, as SQL folds unquoted names).
+  struct Query {
+    TranslationFormula formula;
+    Options options;
+  };
+
+  /// Parses `sql` back to the formula it renders over `schema`. Accepts a
+  /// statement only if it is, token for token, ToSql of that formula under
+  /// its own table name and alias; keyword and name case and whitespace may
+  /// differ. That pins the WHERE clause to exactly the guards the select
+  /// list implies. Anything else — DML, `select *`, `limit`, a missing,
+  /// extra or reordered guard, an unknown column, a keyword used as a
+  /// column name — is a ParseError or an InvalidArgument.
+  static Result<Query> FromSql(std::string_view sql,
+                               const relational::Schema& schema);
 };
 
 }  // namespace mcsm::core

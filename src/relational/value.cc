@@ -6,18 +6,6 @@
 
 namespace mcsm::relational {
 
-const char* ColumnTypeToString(ColumnType type) {
-  switch (type) {
-    case ColumnType::kText:
-      return "TEXT";
-    case ColumnType::kInteger:
-      return "INTEGER";
-    case ColumnType::kReal:
-      return "REAL";
-  }
-  return "UNKNOWN";
-}
-
 std::string Value::ToDisplayString() const {
   if (is_null()) return "NULL";
   if (is_integer()) return std::to_string(integer());
@@ -29,32 +17,6 @@ std::string Value::ToDisplayString() const {
     return StrFormat("%g", v);
   }
   return text();
-}
-
-bool Value::SqlEquals(const Value& other) const {
-  if (is_null() || other.is_null()) return false;
-  if (is_numeric() && other.is_numeric()) return AsDouble() == other.AsDouble();
-  if (is_text() && other.is_text()) return text() == other.text();
-  return false;
-}
-
-int Value::Compare(const Value& other) const {
-  auto rank = [](const Value& v) {
-    if (v.is_null()) return 0;
-    if (v.is_numeric()) return 1;
-    return 2;
-  };
-  int ra = rank(*this), rb = rank(other);
-  if (ra != rb) return ra < rb ? -1 : 1;
-  if (ra == 0) return 0;  // both NULL
-  if (ra == 1) {
-    double a = AsDouble(), b = other.AsDouble();
-    if (a < b) return -1;
-    if (a > b) return 1;
-    return 0;
-  }
-  int cmp = text().compare(other.text());
-  return cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
 }
 
 }  // namespace mcsm::relational

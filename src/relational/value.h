@@ -15,8 +15,6 @@ enum class ColumnType {
   kReal,
 };
 
-const char* ColumnTypeToString(ColumnType type);
-
 /// \brief A dynamically-typed SQL value: NULL, INTEGER, REAL or TEXT.
 ///
 /// Values are small and freely copyable; TEXT payloads use std::string.
@@ -45,20 +43,8 @@ class Value {
   double real() const { return std::get<double>(repr_); }
   const std::string& text() const { return std::get<std::string>(repr_); }
 
-  /// Numeric view: integer widened to double.
-  double AsDouble() const { return is_integer() ? static_cast<double>(integer()) : real(); }
-
   /// Renders the value for display; NULL renders as "NULL".
   std::string ToDisplayString() const;
-
-  /// SQL equality (NULL is not equal to anything, including NULL — callers
-  /// needing three-valued logic must check is_null() first). Numeric types
-  /// compare by value across INTEGER/REAL.
-  bool SqlEquals(const Value& other) const;
-
-  /// Total ordering for ORDER BY / DISTINCT: NULL < numerics < text.
-  /// Returns <0, 0, >0.
-  int Compare(const Value& other) const;
 
   bool operator==(const Value& other) const { return repr_ == other.repr_; }
 

@@ -10,9 +10,14 @@ namespace mcsm::vm {
 
 /// \brief Compiles a discovered TranslationFormula into a validated Program.
 ///
-/// Rejects exactly what SqlEmitter::ToSql rejects — incomplete or empty
-/// formulas (InvalidArgument) and spans referencing columns beyond `schema`
-/// (OutOfRange) — so a formula either lowers to both backends or to neither.
+/// Rejects everything SqlEmitter::ToSql rejects for a schema with distinct
+/// column names — incomplete or empty formulas (InvalidArgument) and spans
+/// referencing columns beyond `schema` (OutOfRange) — and more, all as
+/// InvalidArgument: spans starting at 0 or ending before they start,
+/// positions beyond u32, and formulas over more than kMaxRegisters columns.
+/// ToSql still writes SQL for those; parsed back (SqlEmitter::FromSql), that
+/// SQL either fails to parse or fails here the same way, so running emitted
+/// SQL fails loudly instead of diverging from the formula.
 ///
 /// Lowering: each referenced source column gets one register, loaded once
 /// per row in first-reference order and followed by a single hoisted

@@ -1,7 +1,8 @@
 // Chaos suite: runs the discovery pipeline (CSV I/O -> translation search ->
-// SQL execution) with faults injected at every registered failpoint site and
-// asserts the pipeline always either returns a clean error Status or a
-// degraded-but-valid result — never crashes, hangs, or aborts.
+// emitted SQL parsed back, compiled and run on the translation VM) with
+// faults injected at every registered failpoint site and asserts the
+// pipeline always either returns a clean error Status or a degraded-but-valid
+// result — never crashes, hangs, or aborts.
 //
 // The suite is also run by CI with MCSM_FAILPOINTS set (one site per matrix
 // leg), so every assertion must hold regardless of which sites the
@@ -18,11 +19,11 @@
 #include "core/matcher.h"
 #include "datagen/datasets.h"
 #include "relational/csv.h"
-#include "relational/database.h"
 #include "service/job_manager.h"
 #include "service/registry.h"
-#include "sql/engine.h"
 #include "temp_path.h"
+#include "vm/compiler.h"
+#include "vm/executor.h"
 
 namespace mcsm {
 namespace {
@@ -44,7 +45,7 @@ core::SearchOptions ChaosSearchOptions() {
 }
 
 // The full pipeline a client would run: persist the source table as CSV,
-// read it back permissively, discover a translation, and execute a query.
+// read it back permissively, discover a translation, and run its SQL.
 // Any failure must surface as a Status from here, nothing else.
 Status RunPipeline() {
   const datagen::Dataset& data = ChaosDataset();
@@ -65,13 +66,15 @@ Status RunPipeline() {
       core::DiscoverTranslation(source, data.target, data.target_column,
                                 ChaosSearchOptions()));
   // A truncated or incomplete result is valid degraded output; only a
-  // complete formula carries SQL worth executing.
+  // complete formula carries SQL worth running: parse it back, compile it,
+  // translate the source with it.
   if (!discovered.sql.empty()) {
-    relational::Database db;
-    MCSM_RETURN_IF_ERROR(db.CreateTable("t1", std::move(source)));
-    sql::Engine engine(&db);
-    MCSM_RETURN_IF_ERROR(
-        engine.Execute("select count(*) from t1").status());
+    MCSM_ASSIGN_OR_RETURN(
+        core::SqlEmitter::Query query,
+        core::SqlEmitter::FromSql(discovered.sql, source.schema()));
+    MCSM_ASSIGN_OR_RETURN(vm::Program program,
+                          vm::CompileFormula(query.formula, source.schema()));
+    MCSM_RETURN_IF_ERROR(vm::Translate(program, source).status());
   }
   return Status::OK();
 }

@@ -26,13 +26,13 @@ TEST_F(FailpointTest, DisabledByDefault) {
 TEST_F(FailpointTest, RegisteredSitesListsAllCanonicalNames) {
   auto sites = RegisteredSites();
   for (const char* site : {kCsvRead, kCsvWrite, kIndexSimilar, kIndexPattern,
-                           kSamplerSample, kSqlExecute, kServiceAccept,
-                           kServiceJob, kClientConnect, kClientRead,
-                           kPagerRead, kPagerWrite}) {
+                           kSamplerSample, kServiceAccept, kServiceJob,
+                           kClientConnect, kClientRead, kPagerRead,
+                           kPagerWrite}) {
     EXPECT_NE(std::find(sites.begin(), sites.end(), site), sites.end())
         << site;
   }
-  EXPECT_EQ(sites.size(), 12u);
+  EXPECT_EQ(sites.size(), 11u);
 }
 
 TEST_F(FailpointTest, ArmErrorTriggersInternal) {
@@ -45,8 +45,8 @@ TEST_F(FailpointTest, ArmErrorTriggersInternal) {
 }
 
 TEST_F(FailpointTest, ArmErrorWithCustomMessage) {
-  ASSERT_TRUE(Arm(kSqlExecute, "error:disk on fire").ok());
-  Status st = Trigger(kSqlExecute);
+  ASSERT_TRUE(Arm(kPagerWrite, "error:disk on fire").ok());
+  Status st = Trigger(kPagerWrite);
   EXPECT_TRUE(st.IsInternal());
   EXPECT_NE(st.message().find("disk on fire"), std::string::npos);
 }

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "relational/database.h"
 #include "relational/sampler.h"
 #include "relational/table.h"
 #include "relational/value.h"
@@ -23,22 +22,6 @@ TEST(ValueTest, Display) {
   EXPECT_EQ(Value(int64_t{42}).ToDisplayString(), "42");
   EXPECT_EQ(Value(2.0).ToDisplayString(), "2.0");
   EXPECT_EQ(Value("ab").ToDisplayString(), "ab");
-}
-
-TEST(ValueTest, SqlEqualsNullNeverEqual) {
-  EXPECT_FALSE(Value().SqlEquals(Value()));
-  EXPECT_FALSE(Value().SqlEquals(Value("x")));
-  EXPECT_TRUE(Value(int64_t{2}).SqlEquals(Value(2.0)));
-  EXPECT_TRUE(Value("a").SqlEquals(Value("a")));
-  EXPECT_FALSE(Value("a").SqlEquals(Value(int64_t{1})));
-}
-
-TEST(ValueTest, CompareTotalOrder) {
-  EXPECT_LT(Value().Compare(Value(int64_t{0})), 0);      // NULL < numeric
-  EXPECT_LT(Value(int64_t{5}).Compare(Value("a")), 0);   // numeric < text
-  EXPECT_EQ(Value(int64_t{2}).Compare(Value(2.0)), 0);   // cross-type numeric
-  EXPECT_GT(Value("b").Compare(Value("a")), 0);
-  EXPECT_EQ(Value().Compare(Value()), 0);
 }
 
 TEST(SchemaTest, CaseInsensitiveLookup) {
@@ -94,18 +77,6 @@ TEST(TableTest, Truncate) {
   EXPECT_EQ(t.num_rows(), 2u);
   t.Truncate(10);  // no-op
   EXPECT_EQ(t.num_rows(), 2u);
-}
-
-TEST(DatabaseTest, CreateGetDrop) {
-  Database db;
-  ASSERT_TRUE(db.CreateTable("T1", Table::WithTextColumns({"a"})).ok());
-  EXPECT_TRUE(db.HasTable("t1"));  // case-insensitive
-  EXPECT_TRUE(db.CreateTable("t1", Table{}).IsAlreadyExists());
-  ASSERT_TRUE(db.GetTable("T1").ok());
-  EXPECT_TRUE(db.GetTable("nope").status().IsNotFound());
-  ASSERT_TRUE(db.DropTable("t1").ok());
-  EXPECT_FALSE(db.HasTable("t1"));
-  EXPECT_TRUE(db.DropTable("t1").IsNotFound());
 }
 
 TEST(SamplerTest, SampleSizeClamps) {

@@ -3,8 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "core/search.h"
-#include "relational/database.h"
-#include "sql/engine.h"
+#include "relational/csv.h"
+#include "vm/compiler.h"
+#include "vm/executor.h"
 
 namespace mcsm::core {
 namespace {
@@ -67,8 +68,40 @@ TEST(SqlEmitterTest, ColumnBeyondSchemaRejected) {
   EXPECT_TRUE(SqlEmitter::ToSql(f, NameSchema(), {}).status().IsOutOfRange());
 }
 
-// Integration invariant: executing the emitted SQL in the embedded engine
-// produces exactly the values Apply() produces for the covered rows.
+TEST(SqlEmitterTest, AmbiguousColumnNameRejected) {
+  // CSV headers may repeat a name, exactly or up to case. Unquoted SQL folds
+  // case, so such a column has no name of its own: ToSql must not emit one
+  // (an engine would resolve it to the first match, a different column),
+  // and FromSql, which accepts only what ToSql writes, refuses it too.
+  for (const char* header : {"a,a,other", "Name,name,other"}) {
+    SCOPED_TRACE(header);
+    auto t = relational::ReadCsv(std::string(header) + "\nleft,right,x\n");
+    ASSERT_TRUE(t.ok()) << t.status();
+    const Schema& schema = t->schema();
+    for (size_t column : {size_t{0}, size_t{1}}) {
+      EXPECT_TRUE(SqlEmitter::ToSql(TranslationFormula({Region::SpanToEnd(
+                                        column, 1)}),
+                                    schema, {})
+                      .status()
+                      .IsInvalidArgument());
+    }
+    const std::string name = schema.column(1).name;
+    EXPECT_TRUE(SqlEmitter::FromSql("select " + name + " as t from t1 where " +
+                                        name + " is not null and char_length(" +
+                                        name + ") >= 1",
+                                    schema)
+                    .status()
+                    .IsInvalidArgument());
+    // The column with a name of its own still emits.
+    EXPECT_TRUE(SqlEmitter::ToSql(TranslationFormula({Region::SpanToEnd(2, 1)}),
+                                  schema, {})
+                    .ok());
+  }
+}
+
+// Integration invariant: the emitted SQL parses back to the program the
+// formula compiles to, wire byte for wire byte, and running it translates
+// exactly the values Apply() produces for the covered rows.
 TEST(SqlEmitterTest, EmittedSqlAgreesWithApply) {
   Table t = Table::WithTextColumns({"first", "middle", "last"});
   ASSERT_TRUE(t.AppendTextRow({"robert", "h", "kerry"}).ok());
@@ -85,11 +118,15 @@ TEST(SqlEmitterTest, EmittedSqlAgreesWithApply) {
   auto sql = SqlEmitter::ToSql(f, t.schema(), options);
   ASSERT_TRUE(sql.ok());
 
-  relational::Database db;
-  ASSERT_TRUE(db.CreateTable("t1", t).ok());
-  sql::Engine engine(&db);
-  auto rs = engine.Execute(*sql);
-  ASSERT_TRUE(rs.ok()) << rs.status();
+  auto query = SqlEmitter::FromSql(*sql, t.schema());
+  ASSERT_TRUE(query.ok()) << query.status();
+  auto program = vm::CompileFormula(query->formula, t.schema());
+  ASSERT_TRUE(program.ok()) << program.status();
+  auto direct = vm::CompileFormula(f, t.schema());
+  ASSERT_TRUE(direct.ok()) << direct.status();
+  EXPECT_EQ(program->Serialize(), direct->Serialize());
+  auto result = vm::Translate(*program, t);
+  ASSERT_TRUE(result.ok()) << result.status();
 
   std::vector<std::string> via_apply;
   for (size_t row = 0; row < t.num_rows(); ++row) {
@@ -97,7 +134,9 @@ TEST(SqlEmitterTest, EmittedSqlAgreesWithApply) {
     if (v.has_value()) via_apply.push_back(*v);
   }
   std::vector<std::string> via_sql;
-  for (const auto& row : rs->rows) via_sql.push_back(row[0].text());
+  for (size_t i = 0; i < result->output_rows(); ++i) {
+    via_sql.emplace_back(result->value(i));
+  }
   EXPECT_EQ(via_sql, via_apply);
   EXPECT_EQ(via_sql.size(), 2u);  // empty and NULL first rows excluded
 }

@@ -10,8 +10,6 @@
 #include "core/search.h"
 #include "core/sql_emitter.h"
 #include "datagen/datasets.h"
-#include "relational/database.h"
-#include "sql/engine.h"
 #include "vm/compiler.h"
 #include "vm/executor.h"
 
@@ -75,24 +73,32 @@ std::vector<std::optional<std::string>> ApplyAll(const TranslationFormula& f,
   return out;
 }
 
+/// The SQL leg of the acceptance contract: the emitted query, parsed back,
+/// compiles to the same wire bytes as the formula itself, so running the SQL
+/// is running the very program the VM legs check.
+void ExpectSqlCompilesToSameWire(const TranslationFormula& formula,
+                                 const Schema& schema) {
+  auto program = CompileFormula(formula, schema);
+  ASSERT_TRUE(program.ok()) << program.status();
+  auto sql = core::SqlEmitter::ToSql(formula, schema, {});
+  ASSERT_TRUE(sql.ok()) << sql.status();
+  auto query = core::SqlEmitter::FromSql(*sql, schema);
+  ASSERT_TRUE(query.ok()) << query.status() << " for " << *sql;
+  auto parsed = CompileFormula(query->formula, schema);
+  ASSERT_TRUE(parsed.ok()) << parsed.status() << " for " << *sql;
+  EXPECT_EQ(parsed->Serialize(), program->Serialize()) << *sql;
+}
+
 /// The acceptance contract of DESIGN.md §12: for one formula over one
-/// source table, the VM (at several thread counts and batch sizes), the SQL
-/// engine executing the emitted query, and per-row Apply must agree byte
-/// for byte on both which rows are covered and what they translate to.
+/// source table, the VM (at several thread counts and batch sizes) and
+/// per-row Apply must agree byte for byte on both which rows are covered
+/// and what they translate to, and the emitted SQL must parse back to the
+/// same program.
 void ExpectThreeWayAgreement(const TranslationFormula& formula,
                              const Table& source) {
   const auto oracle = ApplyAll(formula, source);
+  ExpectSqlCompilesToSameWire(formula, source.schema());
 
-  // SQL path: the emitted query over a copy of the source registered as t1.
-  core::SqlEmitter::Options sql_options;
-  sql_options.source_table = "t1";
-  auto sql = core::SqlEmitter::ToSql(formula, source.schema(), sql_options);
-  ASSERT_TRUE(sql.ok()) << sql.status();
-  relational::Database db;
-  ASSERT_TRUE(db.CreateTable("t1", source).ok());
-  sql::Engine engine(&db);
-  auto rs = engine.Execute(*sql);
-  ASSERT_TRUE(rs.ok()) << rs.status() << " for " << *sql;
   std::vector<std::string> covered_values;
   std::vector<uint32_t> covered_rows;
   for (size_t row = 0; row < oracle.size(); ++row) {
@@ -100,12 +106,6 @@ void ExpectThreeWayAgreement(const TranslationFormula& formula,
       covered_values.push_back(*oracle[row]);
       covered_rows.push_back(static_cast<uint32_t>(row));
     }
-  }
-  ASSERT_EQ(rs->num_rows(), covered_values.size()) << *sql;
-  for (size_t i = 0; i < covered_values.size(); ++i) {
-    ASSERT_FALSE(rs->rows[i][0].is_null());
-    EXPECT_EQ(rs->rows[i][0].text(), covered_values[i])
-        << "sql row " << i << " of " << *sql;
   }
 
   // VM path, across thread counts and batch sizes (including a batch size
@@ -209,9 +209,10 @@ TEST(VmCompilerTest, SharedRegisterGetsMaxGuard) {
   EXPECT_EQ(program->code(), expected);
   EXPECT_EQ(program->num_registers(), 1u);
   EXPECT_EQ(program->min_columns(), 2u);
+  ExpectSqlCompilesToSameWire(f, NameSchema());
 }
 
-TEST(VmCompilerTest, RejectsWhatSqlEmitterRejects) {
+TEST(VmCompilerTest, RejectsASupersetOfWhatSqlEmitterRejects) {
   const Schema schema = NameSchema();
   // Incomplete and empty formulas: InvalidArgument, same as SqlEmitter.
   TranslationFormula incomplete(
@@ -228,6 +229,29 @@ TEST(VmCompilerTest, RejectsWhatSqlEmitterRejects) {
   EXPECT_TRUE(CompileFormula(oob, schema).status().IsOutOfRange());
   EXPECT_TRUE(
       core::SqlEmitter::ToSql(oob, schema, {}).status().IsOutOfRange());
+
+  // What only the compiler rejects: more columns than the VM has registers,
+  // and a span starting at 0. ToSql writes both, and the SQL parses back,
+  // but the parse -> compile path then fails as loudly as CompileFormula.
+  std::vector<std::string> names;
+  std::vector<Region> spans;
+  for (size_t c = 0; c <= Program::kMaxRegisters; ++c) {
+    names.push_back("c" + std::to_string(c));
+    spans.push_back(Region::SpanToEnd(c, 1));
+  }
+  const Schema wide = Table::WithTextColumns(names).schema();
+  for (const auto& [f, s] :
+       {std::pair{TranslationFormula(spans), wide},
+        std::pair{TranslationFormula({Region::Span(0, 0, 1)}), schema}}) {
+    EXPECT_TRUE(CompileFormula(f, s).status().IsInvalidArgument());
+    auto sql = core::SqlEmitter::ToSql(f, s, {});
+    ASSERT_TRUE(sql.ok()) << sql.status();
+    auto query = core::SqlEmitter::FromSql(*sql, s);
+    ASSERT_TRUE(query.ok()) << query.status();
+    EXPECT_EQ(query->formula, f);
+    EXPECT_TRUE(
+        CompileFormula(query->formula, s).status().IsInvalidArgument());
+  }
 }
 
 TEST(VmCompilerTest, RejectsMalformedSpans) {
@@ -517,7 +541,7 @@ TEST(VmBudgetTest, CancelledBudgetStopsBeforeAnyRow) {
 
 // ---------------------------------------------------------------------------
 // Differential suite: discovered formulas over every datagen family,
-// VM vs SQL engine vs Apply (DESIGN.md §12 acceptance contract).
+// VM vs parsed-back SQL vs Apply (DESIGN.md §12 acceptance contract).
 
 TEST(VmDifferentialTest, UserIdDataset) {
   datagen::UserIdOptions o;
