@@ -227,7 +227,11 @@ int RealMain(int argc, const char** argv) {
                 d->formula().ToString(source->schema()).c_str());
     std::printf("coverage: %zu / %zu rows\n", d->coverage.matched_rows(),
                 target->num_rows());
-    std::printf("sql     : %s\n", d->sql.c_str());
+    if (d->sql_error.empty()) {
+      std::printf("sql     : %s\n", d->sql.c_str());
+    } else {
+      std::printf("sql     : (not emitted: %s)\n", d->sql_error.c_str());
+    }
     Status emitted = emit_program(d->formula());
     if (!emitted.ok()) return Fail(emitted);
     print_explain();
@@ -244,7 +248,11 @@ int RealMain(int argc, const char** argv) {
                 d.formula().ToString(source->schema()).c_str(),
                 d.coverage.matched_rows(),
                 d.truncated() ? "  [TRUNCATED]" : "");
-    std::printf("  sql: %s\n", d.sql.c_str());
+    if (d.sql_error.empty()) {
+      std::printf("  sql: %s\n", d.sql.c_str());
+    } else {
+      std::printf("  sql: (not emitted: %s)\n", d.sql_error.c_str());
+    }
     if (d.truncated()) continue;  // partial formula: not mergeable
     formulas.push_back(d.formula());
   }

@@ -22,7 +22,11 @@ Result<DiscoveredTranslation> DiscoverTranslation(
       emit.output_column = target.schema().column(target_column).name;
     }
     auto sql = SqlEmitter::ToSql(out.search.formula, source.schema(), emit);
-    if (sql.ok()) out.sql = std::move(sql).value();
+    if (sql.ok()) {
+      out.sql = std::move(sql).value();
+    } else {
+      out.sql_error = sql.status().message();
+    }
   }
   return out;
 }

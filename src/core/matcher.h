@@ -20,6 +20,9 @@ struct DiscoveredTranslation {
   SearchResult search;
   Coverage coverage;   ///< source/target rows the formula links
   std::string sql;     ///< emitted SQL (empty when the formula is incomplete)
+  /// Why a complete formula has no `sql`: ToSql's error, for example a
+  /// column whose name another column shares ignoring case. Empty otherwise.
+  std::string sql_error;
 
   const TranslationFormula& formula() const { return search.formula; }
   /// True when the run budget tripped and `search.formula` is the best

@@ -8,6 +8,7 @@
 #include "common/env.h"
 #include "common/failpoint.h"
 #include "common/string_util.h"
+#include "core/pattern_candidates.h"
 #include "core/separator.h"
 #include "relational/sampler.h"
 #include "text/alignment.h"
@@ -565,37 +566,20 @@ Result<bool> TranslationSearch::RefineOnce(TranslationFormula* formula,
         target_rows = target_index_->RowsMatchingPattern(*pattern, budget);
       }
 
-      // Per-candidate fixed coverage (shared by all columns); invalid captures
-      // are dropped up front.
-      struct Candidate {
-        uint32_t row;
-        // TextView, not string_view: each candidate carries the pin that keeps
-        // its target bytes valid for the rest of the slot.
-        relational::TextView target;
-        FixedCoverage fixed;
-        std::vector<bool> free_mask;
-      };
-      std::vector<Candidate> candidates;
-      candidates.reserve(target_rows.size());
-      for (uint32_t t_row : target_rows) {
-        relational::TextView target = target_.TextAt(t_row, target_column_);
-        auto spans = pattern->CaptureLiterals(target);
-        if (!spans.has_value()) continue;
-        auto fixed =
-            FixedCoverage::FromCapture(target.size(), *spans, fixed_regions);
-        if (!fixed.ok()) continue;
-        Candidate cand{t_row, std::move(target), std::move(fixed).value(), {}};
-        cand.free_mask = cand.fixed.FreeMask();
-        candidates.push_back(std::move(cand));
+      // The row's key in every candidate column, read once for the slot; the
+      // cells hold their pins until the slot ends.
+      std::vector<relational::TextView> key_cells;
+      std::vector<std::string_view> keys;
+      key_cells.reserve(text_columns.size());
+      keys.reserve(text_columns.size());
+      for (size_t col : text_columns) {
+        key_cells.push_back(source_.TextAt(row, col));
+        keys.push_back(key_cells.back().view());
       }
-
-      // Algorithm 6's "and contains q-grams of key", realized as row-level
-      // record-linkage ranking: when more candidates match the pattern than
-      // the cap admits, keep the ones sharing the most q-grams with the WHOLE
-      // source row (summed over all candidate columns). The truly linked
-      // target instance shares several fields and rises to the top, while a
-      // candidate that matches one field by coincidence ranks below it — the
-      // "primitive form of record linkage" of Section 2.
+      PatternCandidates selected = SelectPatternCandidates(
+          *pattern, target_, target_column_, target_rows, fixed_regions, keys,
+          options_.q, options_.max_pattern_rows);
+      const std::vector<PatternCandidate>& candidates = selected.kept;
       if (trace_ != nullptr) {
         // Pattern retrieval outcome for this sampled row (Algorithm 5).
         TraceEvent event;
@@ -603,38 +587,13 @@ Result<bool> TranslationSearch::RefineOnce(TranslationFormula* formula,
         event.name = "pattern_candidates";
         event.iteration = iteration;
         event.sample = static_cast<int64_t>(slot);
-        event.value = static_cast<double>(candidates.size());
+        event.value = static_cast<double>(selected.captured);
         trace_->Emit(std::move(event));
       }
-      if (candidates.size() > options_.max_pattern_rows) {
-        std::vector<long long> row_similarity(candidates.size(), 0);
-        for (size_t ci = 0; ci < candidates.size(); ++ci) {
-          for (size_t col : text_columns) {
-            const relational::TextView key_cell = source_.TextAt(row, col);
-            const std::string_view key = key_cell.view();
-            if (key.size() >= options_.q) {
-              row_similarity[ci] += text::SharedQGramsMasked(
-                  key, candidates[ci].target, candidates[ci].free_mask,
-                  options_.q);
-            }
-          }
-        }
-        std::vector<size_t> order(candidates.size());
-        for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-        std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-          return row_similarity[a] > row_similarity[b];
-        });
-        order.resize(options_.max_pattern_rows);
-        std::sort(order.begin(), order.end());
-        std::vector<Candidate> kept;
-        kept.reserve(order.size());
-        for (size_t i : order) kept.push_back(std::move(candidates[i]));
-        candidates = std::move(kept);
-      }
 
-      for (size_t col : text_columns) {
-        const relational::TextView key_cell = source_.TextAt(row, col);
-        const std::string_view key = key_cell.view();
+      for (size_t k = 0; k < text_columns.size(); ++k) {
+        const size_t col = text_columns[k];
+        const std::string_view key = keys[k];
         if (key.empty()) continue;
         // Algorithm 6's "and contains q-grams of key" (see RefinementFilter).
         bool filter = options_.refinement_filter !=

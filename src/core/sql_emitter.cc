@@ -1,5 +1,6 @@
 #include "core/sql_emitter.h"
 
+#include <cctype>
 #include <optional>
 #include <string>
 #include <vector>
@@ -18,6 +19,24 @@ std::string QuoteSqlString(const std::string& s) {
     if (c == '\'') out += '\'';
   }
   out += "'";
+  return out;
+}
+
+/// `name` as the dialect writes it: bare when it lexes as one identifier,
+/// else double-quoted, with "" for a quote inside it.
+std::string SqlName(const std::string& name) {
+  bool bare = std::isalpha(static_cast<unsigned char>(name[0])) ||
+              name[0] == '_';
+  for (char c : name) {
+    bare = bare && (std::isalnum(static_cast<unsigned char>(c)) || c == '_');
+  }
+  if (bare && !IsSqlKeyword(name)) return name;
+  std::string out = "\"";
+  for (char c : name) {
+    out += c;
+    if (c == '"') out += '"';
+  }
+  out += "\"";
   return out;
 }
 
@@ -117,6 +136,10 @@ Result<std::string> SqlEmitter::ToSql(const TranslationFormula& formula,
     return Status::InvalidArgument("cannot emit SQL for an empty formula");
   }
 
+  if (options.source_table.empty() || options.output_column.empty()) {
+    return Status::InvalidArgument(
+        "SQL cannot name an empty table or output column");
+  }
   std::vector<std::string> selects;
   std::vector<std::string> wheres;
   for (const auto& r : formula.regions()) {
@@ -130,13 +153,19 @@ Result<std::string> SqlEmitter::ToSql(const TranslationFormula& formula,
               StrFormat("formula references column %zu beyond schema (%zu)",
                         r.column, schema.num_columns()));
         }
-        const std::string& name = schema.column(r.column).name;
+        const std::string& column_name = schema.column(r.column).name;
+        if (column_name.empty()) {
+          return Status::InvalidArgument(
+              StrFormat("column %zu has an empty name; SQL cannot name it",
+                        r.column));
+        }
         if (SharesNameWithAnotherColumn(schema, r.column)) {
           return Status::InvalidArgument(StrFormat(
               "column %zu ('%s') shares its name with another column, "
               "ignoring case; SQL cannot name it unambiguously",
-              r.column, name.c_str()));
+              r.column, column_name.c_str()));
         }
+        const std::string name = SqlName(column_name);
         if (r.to_end) {
           if (r.start == 1) {
             selects.push_back(name);
@@ -167,7 +196,8 @@ Result<std::string> SqlEmitter::ToSql(const TranslationFormula& formula,
   }
 
   std::string sql = "select " + Join(selects, " || ") + " as " +
-                    options.output_column + " from " + options.source_table;
+                    SqlName(options.output_column) + " from " +
+                    SqlName(options.source_table);
   if (!wheres.empty()) {
     sql += " where " + Join(wheres, " and ");
   }

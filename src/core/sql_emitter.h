@@ -33,15 +33,18 @@ class SqlEmitter {
     std::string output_column = "translated";
   };
 
-  /// Fails with InvalidArgument when the formula still has Unknown regions,
-  /// or when it references a column whose name another column of `schema`
-  /// shares, ignoring case (unquoted SQL names cannot tell them apart).
+  /// Names that are not plain identifiers, or that spell a keyword, are
+  /// double-quoted ("first name", "text"). Fails with InvalidArgument when
+  /// the formula still has Unknown regions, when a name is empty, or when it
+  /// references a column whose name another column of `schema` shares,
+  /// ignoring case (FromSql resolves names ignoring case).
   static Result<std::string> ToSql(const TranslationFormula& formula,
                                    const relational::Schema& schema,
                                    const Options& options);
 
   /// A parsed statement: the formula it renders, and its own table name and
-  /// output alias (lower-cased, as SQL folds unquoted names).
+  /// output alias (lower-cased, as SQL folds unquoted names; a quoted name
+  /// keeps its case).
   struct Query {
     TranslationFormula formula;
     Options options;
@@ -52,7 +55,7 @@ class SqlEmitter {
   /// its own table name and alias; keyword and name case and whitespace may
   /// differ. That pins the WHERE clause to exactly the guards the select
   /// list implies. Anything else — DML, `select *`, `limit`, a missing,
-  /// extra or reordered guard, an unknown column, a keyword used as a
+  /// extra or reordered guard, an unknown column, a keyword used as a bare
   /// column name — is a ParseError or an InvalidArgument.
   static Result<Query> FromSql(std::string_view sql,
                                const relational::Schema& schema);

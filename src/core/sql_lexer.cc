@@ -10,7 +10,7 @@ namespace mcsm::core {
 
 namespace {
 
-bool IsKeywordWord(const std::string& lower) {
+bool IsKeywordWord(std::string_view lower) {
   static constexpr std::array<std::string_view, 44> kKeywords = {
       "select", "from",   "where",  "and",    "or",     "not",    "as",
       "like",   "is",     "null",   "order",  "by",     "asc",    "desc",
@@ -26,7 +26,30 @@ bool IsKeywordWord(const std::string& lower) {
   return false;
 }
 
+/// Reads a `quote`-delimited run starting at sql[*i] (the opening quote),
+/// a doubled quote standing for one. Leaves *i past the closing quote;
+/// false when the run is unterminated.
+bool ReadQuoted(std::string_view sql, char quote, size_t* i,
+                std::string* value) {
+  for (size_t j = *i + 1; j < sql.size(); ++j) {
+    if (sql[j] != quote) {
+      value->push_back(sql[j]);
+    } else if (j + 1 < sql.size() && sql[j + 1] == quote) {
+      value->push_back(quote);
+      ++j;
+    } else {
+      *i = j + 1;
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
+
+bool IsSqlKeyword(std::string_view word) {
+  return IsKeywordWord(ToLower(word));
+}
 
 Result<std::vector<SqlToken>> TokenizeSql(std::string_view sql) {
   std::vector<SqlToken> tokens;
@@ -47,28 +70,27 @@ Result<std::vector<SqlToken>> TokenizeSql(std::string_view sql) {
     if (c == '\'') {
       // String literal with '' escape.
       std::string value;
-      ++i;
-      bool closed = false;
-      while (i < n) {
-        if (sql[i] == '\'') {
-          if (i + 1 < n && sql[i + 1] == '\'') {
-            value.push_back('\'');
-            i += 2;
-          } else {
-            ++i;
-            closed = true;
-            break;
-          }
-        } else {
-          value.push_back(sql[i]);
-          ++i;
-        }
-      }
-      if (!closed) {
+      if (!ReadQuoted(sql, '\'', &i, &value)) {
         return Status::ParseError(
             StrFormat("unterminated string literal at offset %zu", start));
       }
       tokens.push_back({SqlTokenType::kString, std::move(value), 0, 0, start});
+      continue;
+    }
+    if (c == '"') {
+      // Quoted name with "" escape: an identifier even when it spells a
+      // keyword or holds characters a bare word cannot, kept as written.
+      std::string value;
+      if (!ReadQuoted(sql, '"', &i, &value)) {
+        return Status::ParseError(
+            StrFormat("unterminated quoted name at offset %zu", start));
+      }
+      if (value.empty()) {
+        return Status::ParseError(
+            StrFormat("empty quoted name at offset %zu", start));
+      }
+      tokens.push_back(
+          {SqlTokenType::kIdentifier, std::move(value), 0, 0, start});
       continue;
     }
     if (std::isdigit(static_cast<unsigned char>(c)) ||

@@ -11,7 +11,8 @@
 namespace mcsm::core {
 
 enum class SqlTokenType {
-  kIdentifier,  ///< bare word that is not a keyword (normalized lower-case)
+  kIdentifier,  ///< bare word that is not a keyword (normalized lower-case),
+                ///< or a "quoted name" (as written, "" escaping a quote)
   kKeyword,     ///< SQL keyword (normalized lower-case)
   kString,      ///< 'single quoted', with '' as the quote escape
   kInteger,
@@ -39,9 +40,12 @@ struct SqlToken {
 };
 
 /// Tokenizes a SQL string. Keywords are recognized case-insensitively.
-/// Returns ParseError on malformed input (unterminated string, stray char,
-/// an integer beyond int64).
+/// Returns ParseError on malformed input (unterminated string or quoted
+/// name, an empty quoted name, stray char, an integer beyond int64).
 Result<std::vector<SqlToken>> TokenizeSql(std::string_view sql);
+
+/// True when `word` lexes as a keyword (case-insensitively).
+bool IsSqlKeyword(std::string_view word);
 
 }  // namespace mcsm::core
 

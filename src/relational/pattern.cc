@@ -123,8 +123,14 @@ bool SearchPattern::TryMatch(std::string_view text, size_t pos, size_t seg,
 std::optional<std::vector<Span>> SearchPattern::CaptureLiterals(
     std::string_view text) const {
   std::vector<Span> spans;
-  if (!TryMatch(text, 0, 0, &spans)) return std::nullopt;
+  if (!CaptureLiterals(text, &spans)) return std::nullopt;
   return spans;
+}
+
+bool SearchPattern::CaptureLiterals(std::string_view text,
+                                    std::vector<Span>* spans) const {
+  // TryMatch pops what it pushed on every failed branch.
+  return TryMatch(text, 0, 0, spans);
 }
 
 std::optional<std::vector<bool>> SearchPattern::FreeMask(

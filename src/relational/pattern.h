@@ -60,6 +60,11 @@ class SearchPattern {
   /// and so on (backtracking only as required for an overall match).
   std::optional<std::vector<Span>> CaptureLiterals(std::string_view text) const;
 
+  /// As above, but appends the spans to `*spans` (no allocation once the
+  /// buffer has grown). Returns false, leaving `*spans` as it was, when
+  /// `text` does not match.
+  bool CaptureLiterals(std::string_view text, std::vector<Span>* spans) const;
+
   /// Builds a per-character mask over `text`: true = position is *free*
   /// (not covered by any literal segment). nullopt when no match.
   std::optional<std::vector<bool>> FreeMask(std::string_view text) const;

@@ -385,6 +385,7 @@ void JobManager::RunJob(uint64_t id) {
   vm::Program program;
   std::string formula_text;
   std::string sql_text;
+  std::string sql_error;
   size_t matched_rows = 0;
   if (mode == JobMode::kTranslate && !program_wire.empty()) {
     auto decoded = vm::Program::Deserialize(program_wire);
@@ -431,6 +432,7 @@ void JobManager::RunJob(uint64_t id) {
             r->formula =
                 translation.formula().ToString(source_table->schema());
             r->sql = translation.sql;
+            r->sql_error = translation.sql_error;
             r->matched_rows = translation.coverage.matched_rows();
             r->truncated = translation.truncated();
             if (translation.truncated()) {
@@ -442,6 +444,7 @@ void JobManager::RunJob(uint64_t id) {
     }
     formula_text = translation.formula().ToString(source_table->schema());
     sql_text = translation.sql;
+    sql_error = translation.sql_error;
     matched_rows = translation.coverage.matched_rows();
     if (was_cancelled) {
       // Cancelled mid-discovery: no rows were translated.
@@ -486,6 +489,7 @@ void JobManager::RunJob(uint64_t id) {
       [&](JobSnapshot* r) {
         r->formula = formula_text;
         r->sql = sql_text;
+        r->sql_error = sql_error;
         r->matched_rows = matched_rows;
         r->rows_in = result.rows_processed;
         r->rows_translated = result.output_rows();

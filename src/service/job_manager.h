@@ -89,6 +89,8 @@ struct JobSnapshot {
   /// Valid in kDone.
   std::string formula;
   std::string sql;
+  /// Why `sql` is empty although `formula` is complete (ToSql's error).
+  std::string sql_error;
   size_t matched_rows = 0;
   bool truncated = false;
   std::string budget_trip;  ///< axis name when truncated ("wall-clock", ...)

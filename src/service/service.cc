@@ -45,6 +45,9 @@ Json JobSnapshotJson(const JobSnapshot& snapshot) {
       snapshot.state == JobState::kCancelled) {
     out.Set("formula", Json::Str(snapshot.formula));
     out.Set("sql", Json::Str(snapshot.sql));
+    if (!snapshot.sql_error.empty()) {
+      out.Set("sql_error", Json::Str(snapshot.sql_error));
+    }
     out.Set("matched_rows",
             Json::Number(static_cast<double>(snapshot.matched_rows)));
     out.Set("truncated", Json::Bool(snapshot.truncated));

@@ -76,10 +76,11 @@ inline uint32_t PackGramKey(std::string_view s, size_t i, size_t q) {
 }
 
 // Reusable scratch for the packed-gram fast paths below, plus a memo of the
-// last `a` side: refinement calls SharedQGramsMasked with the same key
-// against every candidate in a row, so the sorted key profile is rebuilt
-// once per (key, q) instead of once per call. One struct = one TLS guard
-// per call.
+// last `a` side: the refinement filter calls SharedQGramsMasked with one
+// column's key against each kept candidate of a row in turn, so the sorted
+// key profile is rebuilt once per (key, q) instead of once per call. A
+// caller that alternates keys defeats the memo; summing over several keys
+// is what KeyGramOverlap is for. One struct = one TLS guard per call.
 struct SharedGramScratch {
   std::string last_a;
   size_t last_q = 0;
@@ -169,6 +170,99 @@ int SharedQGramsMasked(std::string_view a, std::string_view b,
   for (const auto& [gram, count] : pb) {
     auto it = pa.find(gram);
     if (it != pa.end()) shared += std::min(count, it->second);
+  }
+  return shared;
+}
+
+KeyGramOverlap::KeyGramOverlap(const std::vector<std::string_view>& keys,
+                               size_t q)
+    : q_(q) {
+  if (q == 0) return;
+  // (gram, its count in one key) for every distinct gram of every key,
+  // grouped by gram with the counts ascending.
+  std::vector<std::pair<std::string_view, uint32_t>> runs;
+  std::vector<std::string_view> grams;
+  for (std::string_view key : keys) {
+    if (key.size() < q) continue;
+    grams.clear();
+    for (size_t i = 0; i + q <= key.size(); ++i) {
+      grams.push_back(key.substr(i, q));
+    }
+    std::sort(grams.begin(), grams.end());
+    for (size_t i = 0; i < grams.size();) {
+      size_t j = i + 1;
+      while (j < grams.size() && grams[j] == grams[i]) ++j;
+      runs.emplace_back(grams[i], static_cast<uint32_t>(j - i));
+      i = j;
+    }
+  }
+  std::sort(runs.begin(), runs.end());
+  for (size_t i = 0; i < runs.size();) {
+    size_t j = i + 1;
+    while (j < runs.size() && runs[j].first == runs[i].first) ++j;
+    Entry entry;
+    entry.first_level = static_cast<uint32_t>(levels_.size());
+    entry.levels = runs[j - 1].second;
+    for (uint32_t k = 1; k <= entry.levels; ++k) {
+      uint32_t holders = 0;
+      for (size_t r = i; r < j; ++r) holders += runs[r].second >= k ? 1 : 0;
+      levels_.push_back(holders);
+    }
+    const uint32_t id = static_cast<uint32_t>(entries_.size());
+    if (q <= 4) {
+      entry.packed = PackGramKey(runs[i].first, 0, q);
+    } else {
+      by_view_.emplace(runs[i].first, id);
+    }
+    entries_.push_back(entry);
+    i = j;
+  }
+  if (q <= 4) {
+    // Load factor <= 0.5, so every miss probe ends at an empty slot.
+    size_t capacity = 8;
+    while (capacity < 2 * entries_.size()) capacity *= 2;
+    for (size_t c = capacity; c > 1; c /= 2) --slot_shift_;
+    slots_.assign(capacity, kNoEntry);
+    for (uint32_t id = 0; id < entries_.size(); ++id) {
+      uint32_t h = (entries_[id].packed * simd::kHashMult) >> slot_shift_;
+      while (slots_[h] != kNoEntry) h = (h + 1) & (capacity - 1);
+      slots_[h] = id;
+    }
+  }
+}
+
+uint32_t KeyGramOverlap::Find(std::string_view s, size_t i) const {
+  if (q_ > 4) {
+    auto it = by_view_.find(s.substr(i, q_));
+    return it == by_view_.end() ? kNoEntry : it->second;
+  }
+  const uint32_t packed = PackGramKey(s, i, q_);
+  const size_t mask = slots_.size() - 1;
+  for (uint32_t h = (packed * simd::kHashMult) >> slot_shift_;;
+       h = (h + 1) & mask) {
+    const uint32_t id = slots_[h];
+    if (id == kNoEntry || entries_[id].packed == packed) return id;
+  }
+}
+
+long long KeyGramOverlap::Shared(std::span<const std::string_view> free) {
+  if (entries_.empty()) return 0;
+  ++call_;
+  long long shared = 0;
+  for (std::string_view run : free) {
+    for (size_t i = 0; i + q_ <= run.size(); ++i) {
+      const uint32_t id = Find(run, i);
+      if (id == kNoEntry) continue;
+      Entry& entry = entries_[id];
+      if (entry.call != call_) {
+        entry.call = call_;
+        entry.seen = 0;
+      }
+      // The k-th occurrence adds the number of keys holding >= k copies.
+      if (entry.seen < entry.levels) {
+        shared += levels_[entry.first_level + entry.seen++];
+      }
+    }
   }
   return shared;
 }

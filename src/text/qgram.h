@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -42,6 +43,52 @@ int SharedQGrams(std::string_view a, std::string_view b, size_t q);
 /// *unexplained* portion of the target instance.
 int SharedQGramsMasked(std::string_view a, std::string_view b,
                        const std::vector<bool>& b_allowed, size_t q);
+
+/// \brief The q-grams of a set of keys (one per source column), laid out so
+/// that their summed overlap with one string takes one pass over its grams.
+///
+/// For each distinct gram g of the keys, level(g, k) counts the keys that
+/// hold g at least k times. As min(a, b) = #{k <= b : a >= k}, adding
+/// level(g, k) for the k-th occurrence of g in a string gives, summed over
+/// the keys, min(count in key, count in string): the sum over the keys of
+/// SharedQGrams, or of SharedQGramsMasked when only the string's free
+/// stretches are scanned. Keys shorter than q hold no gram. Exact for every
+/// q >= 1: grams of up to 4 bytes are probed packed, longer ones by view, so
+/// the keys' bytes must then outlive the table. Not thread-safe (Shared()
+/// keeps per-call occurrence counts); build one per worker.
+class KeyGramOverlap {
+ public:
+  KeyGramOverlap(const std::vector<std::string_view>& keys, size_t q);
+
+  /// Sum over the keys of SharedQGramsMasked(key, b, mask, q), where `free`
+  /// holds the maximal runs of b on which the mask is true, in any order.
+  long long Shared(std::span<const std::string_view> free);
+
+ private:
+  static constexpr uint32_t kNoEntry = 0xFFFFFFFFu;
+
+  struct Entry {
+    uint32_t packed = 0;       ///< the gram, packed (q <= 4)
+    uint32_t first_level = 0;  ///< level(g, k) is levels_[first_level + k - 1]
+    uint32_t levels = 0;       ///< the largest count of g in one key
+    uint32_t seen = 0;         ///< occurrences in the current Shared() call
+    uint32_t call = 0;         ///< the call `seen` belongs to
+  };
+
+  /// Entry of the gram at s[i, i + q), or kNoEntry.
+  uint32_t Find(std::string_view s, size_t i) const;
+
+  size_t q_;
+  std::vector<Entry> entries_;
+  std::vector<uint32_t> levels_;
+  /// q <= 4: linear-probed slots of entry ids, bucket = multiply-shift hash
+  /// of the packed gram (simd::kHashMult, shift slot_shift_).
+  std::vector<uint32_t> slots_;
+  uint32_t slot_shift_ = 32;
+  /// q > 4: gram view -> entry id.
+  std::unordered_map<std::string_view, uint32_t> by_view_;
+  uint32_t call_ = 0;
+};
 
 /// \brief Interning dictionary: q-gram string <-> dense uint32_t id.
 ///

@@ -140,6 +140,45 @@ TEST(DiscoverTranslationTest, CitationDeadline50msTruncates) {
   EXPECT_EQ(d->search.budget_trip, BudgetTrip::kWallClock);
 }
 
+// A complete formula whose SQL cannot be emitted keeps ToSql's reason: two
+// source columns named `Name` and `name` cannot be told apart in SQL.
+TEST(DiscoverTranslationTest, SqlErrorCarriesToSqlReason) {
+  datagen::UserIdOptions o;
+  o.rows = 600;
+  o.dominant_fraction = 1.0;
+  o.secondary_fraction = 0.0;
+  const datagen::Dataset data = datagen::MakeUserIdDataset(o);
+  std::vector<std::string> names;
+  for (size_t c = 0; c < data.source.num_columns(); ++c) {
+    const std::string& name = data.source.schema().column(c).name;
+    names.push_back(name == "first" ? "Name" : name == "last" ? "name" : name);
+  }
+  relational::Table source = relational::Table::WithTextColumns(names);
+  for (size_t r = 0; r < data.source.num_rows(); ++r) {
+    std::vector<std::string> row;
+    for (size_t c = 0; c < data.source.num_columns(); ++c) {
+      row.emplace_back(data.source.TextAt(r, c).view());
+    }
+    ASSERT_TRUE(source.AppendTextRow(row).ok());
+  }
+  auto d = DiscoverTranslation(source, data.target, data.target_column,
+                               FastOptions());
+  ASSERT_TRUE(d.ok()) << d.status();
+  ASSERT_TRUE(d->formula().IsComplete());
+  EXPECT_EQ(d->formula().ToString(source.schema()), "Name[1-1]name[1-n]");
+  EXPECT_TRUE(d->sql.empty());
+  EXPECT_NE(d->sql_error.find("shares its name with another column"),
+            std::string::npos)
+      << d->sql_error;
+
+  // With unambiguous names the same discovery emits SQL and no error.
+  auto plain = DiscoverTranslation(data.source, data.target,
+                                   data.target_column, FastOptions());
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  EXPECT_FALSE(plain->sql.empty());
+  EXPECT_TRUE(plain->sql_error.empty()) << plain->sql_error;
+}
+
 // Run()'s coverage validation already computes the returned formula's
 // coverage, and DiscoverTranslation hands that result on instead of
 // recomputing it. On every datagen family it must equal a fresh

@@ -74,6 +74,54 @@ TEST(QGramTest, SharedMaskedGramMustBeFullyFree) {
   EXPECT_EQ(SharedQGramsMasked("ab", "abb", mask, 2), 0);
 }
 
+TEST(QGramTest, KeyGramOverlapEqualsPerKeyMaskedSum) {
+  // The overlap table's one pass over a string's free runs must equal the
+  // per-key sum of SharedQGramsMasked, for every q (packed and by view).
+  Rng rng(4242);
+  const std::string_view alphabet = "abc";
+  auto random_string = [&](size_t max_len) {
+    std::string s;
+    const size_t len = rng.Uniform(max_len + 1);
+    for (size_t i = 0; i < len; ++i) s.push_back(alphabet[rng.Uniform(3)]);
+    return s;
+  };
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t q = 1 + static_cast<size_t>(trial) % 6;
+    std::vector<std::string> key_store;
+    const size_t num_keys = rng.Uniform(7);
+    for (size_t k = 0; k < num_keys; ++k) {
+      key_store.push_back(random_string(12));
+    }
+    const std::vector<std::string_view> keys(key_store.begin(),
+                                             key_store.end());
+    KeyGramOverlap overlap(keys, q);
+    // Several strings per table: occurrence counts must not leak between
+    // calls.
+    for (int probe = 0; probe < 4; ++probe) {
+      const std::string b = random_string(20);
+      std::vector<bool> mask(b.size());
+      for (size_t i = 0; i < b.size(); ++i) mask[i] = rng.Uniform(4) != 0;
+      std::vector<std::string_view> free;
+      for (size_t i = 0; i < b.size();) {
+        if (!mask[i]) {
+          ++i;
+          continue;
+        }
+        size_t j = i;
+        while (j < b.size() && mask[j]) ++j;
+        free.push_back(std::string_view(b).substr(i, j - i));
+        i = j;
+      }
+      long long want = 0;
+      for (std::string_view key : keys) {
+        want += SharedQGramsMasked(key, b, mask, q);
+      }
+      ASSERT_EQ(overlap.Shared(free), want)
+          << "q=" << q << " b=" << b << " trial " << trial;
+    }
+  }
+}
+
 class QGramCountProperty : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(QGramCountProperty, CountMatchesFormulaOnRandomStrings) {

@@ -761,6 +761,46 @@ TEST_F(ServiceRouteTest, FullTableAndJobFlow) {
   EXPECT_NE(metrics.body.find("mcsm_index_cache_misses"), std::string::npos);
 }
 
+TEST_F(ServiceRouteTest, SnapshotCarriesWhySqlIsMissing) {
+  // `Name` and `name` differ only in case, so the discovered formula has no
+  // SQL; the snapshot says why instead of showing an empty string alone.
+  Json table = Json::Object();
+  table.Set("name", Json::Str("people"));
+  table.Set("csv", Json::Str("Name,name\nhenry,warner\nanna,smith\n"
+                             "bob,jones\ncarol,white\n"));
+  ASSERT_EQ(
+      service_.Handle(MakeHttpRequest("POST", "/v1/tables", table.Dump()))
+          .status,
+      200);
+  Json target = Json::Object();
+  target.Set("name", Json::Str("logins"));
+  target.Set("csv",
+             Json::Str("login\nhwarner\nasmith\nbjones\ncwhite\n"));
+  ASSERT_EQ(
+      service_.Handle(MakeHttpRequest("POST", "/v1/tables", target.Dump()))
+          .status,
+      200);
+  Json job = Json::Object();
+  job.Set("source_table", Json::Str("people"));
+  job.Set("target_table", Json::Str("logins"));
+  job.Set("target_column", Json::Number(0));
+  HttpResponse accepted =
+      service_.Handle(MakeHttpRequest("POST", "/v1/jobs", job.Dump()));
+  ASSERT_EQ(accepted.status, 202) << accepted.body;
+  auto accepted_body = Json::Parse(accepted.body);
+  ASSERT_TRUE(accepted_body.ok());
+  Json done =
+      WaitForJob(Json::Number(accepted_body->Find("id")->AsNumber(0)).Dump());
+  ASSERT_TRUE(done.is_object());
+  EXPECT_EQ(done.Find("state")->AsString(""), "done");
+  EXPECT_EQ(done.Find("formula")->AsString(""), "Name[1-1]name[1-n]");
+  EXPECT_EQ(done.Find("sql")->AsString("?"), "");
+  const Json* sql_error = done.Find("sql_error");
+  ASSERT_NE(sql_error, nullptr) << done.Dump();
+  EXPECT_NE(sql_error->AsString("").find("shares its name"), std::string::npos)
+      << sql_error->AsString("");
+}
+
 TEST_F(ServiceRouteTest, BadRequestsAreMapped) {
   EXPECT_EQ(service_.Handle(MakeHttpRequest("POST", "/v1/tables", "notjson"))
                 .status,

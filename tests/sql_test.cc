@@ -44,6 +44,17 @@ TEST(LexerTest, ErrorsOnUnterminatedString) {
   EXPECT_TRUE(TokenizeSql("99999999999999999999").status().IsParseError());
 }
 
+TEST(LexerTest, QuotedNamesAreIdentifiersAsWritten) {
+  auto tokens = TokenizeSql("\"Text\" \"first name\" \"a\"\"b\"");
+  ASSERT_TRUE(tokens.ok()) << tokens.status();
+  ASSERT_EQ(tokens->size(), 4u);  // incl. kEnd
+  EXPECT_TRUE((*tokens)[0].Is(SqlTokenType::kIdentifier, "Text"));
+  EXPECT_TRUE((*tokens)[1].Is(SqlTokenType::kIdentifier, "first name"));
+  EXPECT_TRUE((*tokens)[2].Is(SqlTokenType::kIdentifier, "a\"b"));
+  EXPECT_TRUE(TokenizeSql("\"open").status().IsParseError());
+  EXPECT_TRUE(TokenizeSql("\"\"").status().IsParseError());
+}
+
 TEST(LexerTest, NormalizesNotEquals) {
   auto tokens = TokenizeSql("a != b");
   ASSERT_TRUE(tokens.ok());
@@ -277,17 +288,75 @@ TEST(ParserTest, RejectsUnknownColumn) {
                   .IsParseError());
 }
 
-TEST(ParserTest, RejectsKeywordColumnName) {
-  // `text` lexes as a keyword, so the dialect cannot name a column called
-  // that: ToSql writes it, FromSql refuses it. The same holds for an alias.
-  const Table t = Table::WithTextColumns({"text", "note"});
-  auto sql = SqlEmitter::ToSql(TranslationFormula({Region::SpanToEnd(0, 1)}),
-                               t.schema(), {});
+TEST(ParserTest, KeywordColumnNameRoundTrips) {
+  // `text` lexes as a keyword, so ToSql double-quotes it, and FromSql reads
+  // the quoted name back to the same column. The same holds for an alias;
+  // a bare keyword is still refused.
+  Table t = Table::WithTextColumns({"text", "note"});
+  ASSERT_TRUE(t.AppendTextRow({"abc", "x"}).ok());
+  const TranslationFormula formula({Region::SpanToEnd(0, 1)});
+  SqlEmitter::Options options;
+  options.output_column = "from";
+  auto sql = SqlEmitter::ToSql(formula, t.schema(), options);
   ASSERT_TRUE(sql.ok()) << sql.status();
-  EXPECT_TRUE(SqlEmitter::FromSql(*sql, t.schema()).status().IsParseError());
+  EXPECT_EQ(*sql,
+            "select \"text\" as \"from\" from t1 where \"text\" is not null "
+            "and char_length(\"text\") >= 1");
+  auto parsed = SqlEmitter::FromSql(*sql, t.schema());
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed->formula, formula);
+  EXPECT_EQ(parsed->options.output_column, "from");
+  auto values = RunSql(*sql, t);
+  ASSERT_TRUE(values.ok()) << values.status();
+  EXPECT_EQ(*values, std::vector<std::string>{"abc"});
   EXPECT_TRUE(ParseStatus("select first as text from people where first is "
                           "not null and char_length(first) >= 1")
                   .IsParseError());
+}
+
+TEST(ParserTest, QuotedNamesRoundTrip) {
+  // A CSV header such as `first name`, or one holding a double quote, is
+  // not a plain identifier: ToSql quotes it ("" for a quote inside it) and
+  // FromSql resolves it. Plain names stay bare, so existing SQL is unchanged.
+  Table t = Table::WithTextColumns({"first name", "say \"hi\"", "last"});
+  ASSERT_TRUE(t.AppendTextRow({"henry", "yo", "warner"}).ok());
+  const TranslationFormula formula(
+      {Region::Span(0, 1, 1), Region::SpanToEnd(1, 1),
+       Region::SpanToEnd(2, 1)});
+  SqlEmitter::Options options;
+  options.source_table = "my table";
+  auto sql = SqlEmitter::ToSql(formula, t.schema(), options);
+  ASSERT_TRUE(sql.ok()) << sql.status();
+  EXPECT_NE(sql->find("substring(\"first name\" from 1 for 1)"),
+            std::string::npos)
+      << *sql;
+  EXPECT_NE(sql->find("\"say \"\"hi\"\"\""), std::string::npos) << *sql;
+  EXPECT_NE(sql->find("|| last as translated from \"my table\""),
+            std::string::npos)
+      << *sql;
+  auto parsed = SqlEmitter::FromSql(*sql, t.schema());
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed->formula, formula);
+  EXPECT_EQ(parsed->options.source_table, "my table");
+  ExpectEmittedForm(*sql, *parsed, t.schema());
+  auto values = RunSql(*sql, t);
+  ASSERT_TRUE(values.ok()) << values.status();
+  EXPECT_EQ(*values, std::vector<std::string>{"hyowarner"});
+}
+
+TEST(ParserTest, RejectsEmptyNames) {
+  Table t = Table::WithTextColumns({"", "last"});
+  EXPECT_TRUE(SqlEmitter::ToSql(TranslationFormula({Region::SpanToEnd(0, 1)}),
+                                t.schema(), {})
+                  .status()
+                  .IsInvalidArgument());
+  SqlEmitter::Options no_alias;
+  no_alias.output_column = "";
+  EXPECT_TRUE(SqlEmitter::ToSql(TranslationFormula({Region::SpanToEnd(1, 1)}),
+                                t.schema(), no_alias)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(ParseStatus("select \"\" as x from people").IsParseError());
 }
 
 TEST(ParserFuzzTest, RandomTokenSoupNeverCrashes) {
