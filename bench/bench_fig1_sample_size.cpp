@@ -7,6 +7,7 @@
 #include "bench/bench_util.h"
 #include "core/column_scorer.h"
 #include "relational/column_index.h"
+#include "relational/column_summary.h"
 
 using namespace mcsm;
 
@@ -19,9 +20,10 @@ int main() {
   relational::ColumnIndex::Options idx_options;
   relational::ColumnIndex target_index(data.target, data.target_column,
                                        idx_options);
-  std::vector<relational::ColumnIndex> source_indexes;
+  // Scoring reads only the sorted distinct values of a source column.
+  std::vector<relational::ColumnSummary> source_summaries;
   for (size_t c = 0; c < data.source.num_columns(); ++c) {
-    source_indexes.emplace_back(data.source, c, idx_options);
+    source_summaries.emplace_back(data.source, c);
   }
 
   std::printf("%-8s", "sample%");
@@ -35,7 +37,7 @@ int main() {
     for (size_t c = 0; c < data.source.num_columns(); ++c) {
       core::ColumnScorer::Options scorer;
       scorer.sample_fraction = percent / 100.0;
-      double score = core::ColumnScorer::ScoreColumn(source_indexes[c],
+      double score = core::ColumnScorer::ScoreColumn(source_summaries[c],
                                                      target_index, scorer);
       std::printf("%12.0f", score);
     }

@@ -5,6 +5,7 @@
 #include "bench/bench_util.h"
 #include "core/column_scorer.h"
 #include "relational/column_index.h"
+#include "relational/column_summary.h"
 #include "relational/sampler.h"
 
 using namespace mcsm;
@@ -23,13 +24,12 @@ int main() {
   // Figure 2 uses first, last, random text and addresses.
   std::vector<std::string> wanted = {"first", "last", "text", "addr"};
   std::vector<size_t> columns;
-  std::vector<relational::ColumnIndex> indexes;
+  // Sampling reads only the sorted distinct values of a source column.
+  std::vector<relational::ColumnSummary> summaries;
   for (const auto& name : wanted) {
     columns.push_back(*data.source.schema().FindColumn(name));
   }
-  for (size_t c : columns) {
-    indexes.emplace_back(data.source, c, idx_options);
-  }
+  for (size_t c : columns) summaries.emplace_back(data.source, c);
 
   std::printf("%-10s", "rows");
   for (const auto& name : wanted) std::printf("%14s", name.c_str());
@@ -37,7 +37,7 @@ int main() {
   for (size_t rows_sampled : {100, 250, 500, 750, 1000, 1500, 2000, 2500}) {
     std::printf("%-10zu", rows_sampled);
     for (size_t i = 0; i < columns.size(); ++i) {
-      const auto& distinct = indexes[i].sorted_distinct();
+      const auto& distinct = summaries[i].sorted_distinct();
       std::vector<std::string> keys;
       for (size_t idx :
            relational::EquidistantIndices(distinct.size(), rows_sampled)) {

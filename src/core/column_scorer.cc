@@ -40,11 +40,11 @@ double ColumnScorer::ScoreKeys(const std::vector<std::string>& keys,
   return std::pow(average_overlap, static_cast<double>(q));
 }
 
-double ColumnScorer::ScoreColumn(const relational::ColumnIndex& source_index,
+double ColumnScorer::ScoreColumn(const relational::ColumnSummary& source,
                                  const relational::ColumnIndex& target_index,
                                  const Options& options) {
   std::vector<std::string> keys = relational::SampleDistinctValues(
-      source_index, options.sample_fraction, options.min_sample);
+      source, options.sample_fraction, options.min_sample);
   return ScoreKeys(keys, target_index, options);
 }
 

@@ -46,9 +46,9 @@ class ColumnScorer {
     int64_t trace_column = -1;
   };
 
-  /// Scores one source column (its index provides the distinct values to
+  /// Scores one source column (its summary provides the distinct values to
   /// sample) against the target column index.
-  static double ScoreColumn(const relational::ColumnIndex& source_index,
+  static double ScoreColumn(const relational::ColumnSummary& source,
                             const relational::ColumnIndex& target_index,
                             const Options& options);
 

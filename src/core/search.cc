@@ -71,7 +71,7 @@ TranslationSearch::TranslationSearch(const relational::Table& source,
                          ? options_.env.shared_budget
                          : &budget_),
       trace_(options_.env.trace),
-      source_indexes_(source.num_columns()) {
+      source_summaries_(source.num_columns()) {
   // A cached target index is accepted only when it is interchangeable with
   // the one this search would build: same q, postings present, same column,
   // and built over a table of the same row count (a cheap identity proxy —
@@ -115,24 +115,24 @@ ThreadPool& TranslationSearch::pool() {
   return *pool_;
 }
 
-const relational::ColumnIndex& TranslationSearch::SourceIndex(size_t column) {
-  if (!source_indexes_[column]) {
+const relational::ColumnSummary& TranslationSearch::SourceSummary(
+    size_t column) {
+  if (!source_summaries_[column]) {
+    // A provided summary is accepted when it describes this column of a
+    // table of this row count; it has no q, since the search reads no
+    // q-grams of a source column.
     if (options_.env.source_index_provider) {
       auto cached = options_.env.source_index_provider(column);
-      if (cached != nullptr && cached->q() == options_.q &&
-          cached->column() == column &&
+      if (cached != nullptr && cached->column() == column &&
           cached->row_count() == source_.num_rows()) {
-        source_indexes_[column] = std::move(cached);
-        return *source_indexes_[column];
+        source_summaries_[column] = std::move(cached);
+        return *source_summaries_[column];
       }
     }
-    relational::ColumnIndex::Options idx_options;
-    idx_options.q = options_.q;
-    idx_options.build_postings = false;
-    source_indexes_[column] = std::make_shared<relational::ColumnIndex>(
-        source_, column, idx_options);
+    source_summaries_[column] =
+        std::make_shared<relational::ColumnSummary>(source_, column);
   }
-  return *source_indexes_[column];
+  return *source_summaries_[column];
 }
 
 size_t TranslationSearch::SampleCount(size_t distinct) const {
@@ -145,8 +145,7 @@ size_t TranslationSearch::SampleCount(size_t distinct) const {
 }
 
 std::vector<std::string> TranslationSearch::SampleKeys(size_t column) {
-  const auto& index = SourceIndex(column);
-  const auto& distinct = index.sorted_distinct();
+  const auto& distinct = SourceSummary(column).sorted_distinct();
   size_t t = SampleCount(distinct.size());
   std::vector<std::string> keys;
   keys.reserve(t);
@@ -157,8 +156,7 @@ std::vector<std::string> TranslationSearch::SampleKeys(size_t column) {
 }
 
 std::vector<size_t> TranslationSearch::SampleSourceRows(size_t column) {
-  const auto& index = SourceIndex(column);
-  size_t t = SampleCount(index.distinct_count());
+  size_t t = SampleCount(SourceSummary(column).distinct_count());
   return relational::SampleRows(source_.num_rows(), t, active_budget_);
 }
 
@@ -280,8 +278,8 @@ Result<ColumnSelection> TranslationSearch::SelectStartColumn() {
     }
   }
   // One slot per text column (Algorithm 2's loop). Each worker builds and
-  // scores only its own column — SourceIndex writes a distinct
-  // source_indexes_ entry per column — and the winner is picked serially in
+  // scores only its own column — SourceSummary writes a distinct
+  // source_summaries_ entry per column — and the winner is picked serially in
   // column order below, so the choice is identical for every thread count.
   std::vector<double> column_scores(text_columns.size(), 0.0);
   pool().ParallelFor(text_columns.size(), [&](size_t i) {
@@ -656,8 +654,8 @@ Result<bool> TranslationSearch::RefineOnce(TranslationFormula* formula,
     double frequency = entry.weighted_count / std::max(norm, 1.0);
     double denominator = 1.0;
     if (!options_.disable_width_penalty) {
-      const auto& idx = SourceIndex(entry.column);
-      denominator = std::max(1.0, idx.avg_length() - options_.sigma);
+      denominator = std::max(
+          1.0, SourceSummary(entry.column).avg_length() - options_.sigma);
     }
     double score = frequency / denominator;
     if (trace_ != nullptr) {

@@ -164,11 +164,14 @@ struct SearchOptions {
     /// cache-evicted index alive for the duration of the job.
     std::shared_ptr<const relational::ColumnIndex> target_index;
 
-    /// Cache hook for per-source-column indexes (built without postings).
+    /// Cache hook for per-source-column summaries (sorted distinct values
+    /// and instance lengths — all the search reads of a source column).
     /// Called at most once per column on first use; returning nullptr — or
-    /// an index with the wrong q — falls back to a local build. The
-    /// provider is invoked from worker threads and must be thread-safe.
-    std::function<std::shared_ptr<const relational::ColumnIndex>(size_t)>
+    /// a summary of another column or row count — falls back to a local
+    /// build. A ColumnIndex is a ColumnSummary, so a provider of indexes
+    /// works too. The provider is invoked from worker threads and must be
+    /// thread-safe.
+    std::function<std::shared_ptr<const relational::ColumnSummary>(size_t)>
         source_index_provider;
 
     /// Structured trace sink for the run (see common/trace.h). Null (the
@@ -325,7 +328,7 @@ class TranslationSearch {
   size_t SampleCount(size_t distinct) const;
   std::vector<std::string> SampleKeys(size_t column);
   std::vector<size_t> SampleSourceRows(size_t column);
-  const relational::ColumnIndex& SourceIndex(size_t column);
+  const relational::ColumnSummary& SourceSummary(size_t column);
 
   /// The worker pool, created on first use with SearchOptions::num_threads.
   ThreadPool& pool();
@@ -419,7 +422,8 @@ class TranslationSearch {
   /// const + shared: query methods are thread-safe, and shared ownership
   /// lets the service's index cache hand out one index to many jobs.
   std::shared_ptr<const relational::ColumnIndex> target_index_;
-  std::vector<std::shared_ptr<const relational::ColumnIndex>> source_indexes_;
+  std::vector<std::shared_ptr<const relational::ColumnSummary>>
+      source_summaries_;
   std::optional<relational::SearchPattern> separator_template_;
   std::string separator_chars_;
   std::vector<size_t> linkage_;

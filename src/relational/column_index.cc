@@ -45,70 +45,49 @@ thread_local ScoreScratch t_scratch;
 }  // namespace
 
 ColumnIndex::ColumnIndex(const Table& table, size_t col, Options options)
-    : table_(table),
-      col_(col),
+    : ColumnSummary(table, col),
+      table_(table),
       options_(options),
       dict_(std::make_shared<text::QGramDictionary>(options.q)) {
+  constexpr uint32_t kNoRow = 0xFFFFFFFFu;
   const size_t q = options_.q;
-  row_count_ = table.num_rows();
   size_t non_null = 0;
-  size_t total_length = 0;
-  // Scratch views into the column's segment bytes; sort+unique below
-  // replaces the former std::set (one pass, no node allocations). The
-  // PinnedColumn keeps every segment resident until the owned copies into
-  // sorted_distinct_ below — after the constructor returns, the index holds
-  // no references into table storage.
-  std::vector<std::string_view> values;
-  values.reserve(row_count_);
-  std::vector<uint32_t> row_ids;  // gram ids of the current row
+  std::vector<uint32_t> row_ids;  // gram ids of the current row, in order
   std::vector<int> df;            // document frequency by gram id
+  // The last row each gram was seen in. Rows ascend, so a gram seen again in
+  // the same row bumps that row's tf, and one seen in a new row appends
+  // (row, 1): df and every (row, tf) list come out of one pass in posting
+  // order, with no per-row sort.
+  std::vector<uint32_t> last_row;
   // Per-gram (row, tf) lists, handed to PostingStore::Build below.
   std::vector<std::vector<Posting>> postings;
 
   const ColumnView view = table.Column(col);
   const PinnedColumn pinned(view);
-  for (size_t row = 0; row < row_count_; ++row) {
+  for (size_t row = 0; row < row_count(); ++row) {
     if (!view.IsText(row)) continue;
-    const std::string_view s = pinned.at(row);
     ++non_null;
-    total_length += s.size();
-    if (non_null == 1) {
-      min_length_ = max_length_ = s.size();
-    } else {
-      min_length_ = std::min(min_length_, s.size());
-      max_length_ = std::max(max_length_, s.size());
-    }
-    values.push_back(s);
-
-    if (q > 0 && s.size() >= q) {
-      row_ids.clear();
-      dict_->InternIds(s, &row_ids);
+    const std::string_view s = pinned.at(row);
+    if (q == 0 || s.size() < q) continue;
+    row_ids.clear();
+    dict_->InternIds(s, &row_ids);
+    if (df.size() < dict_->size()) {
       df.resize(dict_->size(), 0);
+      last_row.resize(dict_->size(), kNoRow);
       if (options_.build_postings) postings.resize(dict_->size());
-      // Sorting makes equal ids adjacent: the per-row term frequency falls
-      // out of one run scan instead of a per-row hash map.
-      std::sort(row_ids.begin(), row_ids.end());
-      for (size_t i = 0; i < row_ids.size();) {
-        const uint32_t id = row_ids[i];
-        size_t j = i + 1;
-        while (j < row_ids.size() && row_ids[j] == id) ++j;
-        df[id]++;
-        if (options_.build_postings) {
-          postings[id].push_back(
-              {static_cast<uint32_t>(row), static_cast<uint32_t>(j - i)});
-        }
-        i = j;
+    }
+    const auto r = static_cast<uint32_t>(row);
+    for (const uint32_t id : row_ids) {
+      if (last_row[id] == r) {
+        if (options_.build_postings) ++postings[id].back().tf;
+        continue;
       }
+      last_row[id] = r;
+      ++df[id];
+      if (options_.build_postings) postings[id].push_back({r, 1});
     }
   }
 
-  avg_length_ = non_null == 0
-                    ? 0.0
-                    : static_cast<double>(total_length) / static_cast<double>(non_null);
-  std::sort(values.begin(), values.end());
-  values.erase(std::unique(values.begin(), values.end()), values.end());
-  sorted_distinct_.reserve(values.size());
-  for (std::string_view value : values) sorted_distinct_.emplace_back(value);
   tfidf_ = std::make_unique<text::TfIdfModel>(dict_, std::move(df), non_null);
   // Interning is done: flat fast-lookup tables for query-time FindIds, and
   // the block-compressed layout for the postings.
@@ -123,10 +102,7 @@ int ColumnIndex::DocumentFrequency(std::string_view gram) const {
 }
 
 size_t ColumnIndex::ApproxMemoryBytes() const {
-  size_t bytes = sizeof(*this);
-  for (const std::string& value : sorted_distinct_) {
-    bytes += sizeof(std::string) + value.capacity();
-  }
+  size_t bytes = sizeof(*this) + DistinctValueBytes();
   bytes += store_.ApproxMemoryBytes();
   if (dict_ != nullptr) {
     bytes += dict_->ApproxFastLookupBytes();
@@ -177,7 +153,7 @@ long long ColumnIndex::TotalQGramHits(std::string_view key,
 
 size_t ColumnIndex::RowsWithAnyQGram(std::string_view key) const {
   if (!options_.build_postings) return 0;
-  t_scratch.Begin(row_count_);
+  t_scratch.Begin(row_count());
   uint32_t rows[kPostingBlockSize];
   for (const KeyTerm& term : BuildKeyTerms(key, {})) {
     auto [blk, end] = store_.Blocks(term.id);
@@ -199,7 +175,7 @@ std::vector<uint32_t> ColumnIndex::RowsMatchingPattern(
   std::string_view literal = pattern.LongestLiteral();
   // Candidates arrive in ascending row order on every path below, so a
   // cursor pays one segment load per segment, not one per verification.
-  TextCursor cell(table_.Column(col_));
+  TextCursor cell(table_.Column(column()));
 
   // Index-assisted path: every q-gram of the longest literal must occur in
   // every matching row.
@@ -262,8 +238,8 @@ std::vector<uint32_t> ColumnIndex::RowsMatchingPattern(
 
   // Fallback: full scan, charged in blocks against the budget.
   constexpr size_t kBlock = 256;
-  for (size_t start = 0; start < row_count_; start += kBlock) {
-    size_t end = std::min(start + kBlock, row_count_);
+  for (size_t start = 0; start < row_count(); start += kBlock) {
+    size_t end = std::min(start + kBlock, row_count());
     if (budget != nullptr && !budget->ChargePostings(end - start)) break;
     for (size_t row = start; row < end; ++row) {
       if (pattern.Matches(cell.Get(row))) {
@@ -322,7 +298,7 @@ std::vector<ColumnIndex::ScoredRow> ColumnIndex::AccumulateRarestFirst(
               if (da != db) return da < db;
               return a.id < b.id;
             });
-  t_scratch.Begin(row_count_);
+  t_scratch.Begin(row_count());
   size_t per_key_budget = options_.posting_budget;
   // Per-block decode scratch lives on the stack (~2 KB, L1-resident); the
   // whole accumulation loop allocates nothing.

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/deadline.h"
+#include "relational/column_summary.h"
 #include "relational/pattern.h"
 #include "relational/postings.h"
 #include "relational/table.h"
@@ -16,28 +17,33 @@
 
 namespace mcsm::relational {
 
-/// \brief Per-column auxiliary structures used by the matcher: the sorted
-/// distinct-value list (sampling cursor surrogate for a B-tree index), q-gram
-/// document frequencies, and an optional q-gram inverted index over rows.
+/// \brief The q-gram index of the target column: q-gram document
+/// frequencies, the tf-idf model over them, and an optional row-level
+/// inverted index. It derives from ColumnSummary, so it also holds the
+/// column's sorted distinct values and instance lengths.
 ///
 /// The paper manipulates data "with basic SQL commands" against PostgreSQL;
 /// this class is the equivalent access path in the embedded engine. Postings
 /// make the two hot retrieval operations index-assisted rather than
 /// full-scan: tf-idf similarity retrieval (Section 3.3.1) and LIKE-pattern
-/// candidate retrieval (Section 3.4.1).
+/// candidate retrieval (Section 3.4.1). Only the target column needs them;
+/// the search summarizes source columns instead.
 ///
 /// Layout: grams are interned once at construction into a dense-id
-/// dictionary (frozen into a flat fast-lookup table afterwards — see
-/// text/qgram.h); df and idf are flat vectors indexed by gram id, and the
-/// row-level inverted index is a block-compressed PostingStore (delta-coded
-/// row ids + separate tf stream in 128-entry blocks with skip entries, one
-/// shared arena — see relational/postings.h). The retrieval hot path
-/// performs no per-lookup string allocation, no hash-map node chasing, and
-/// decodes blocks into thread-local/stack scratch, so it stays
-/// zero-allocation in steady state. All query methods are const and safe to
-/// call concurrently from the search's worker pool (similarity scoring uses
-/// a thread-local dense accumulator internally).
-class ColumnIndex {
+/// dictionary, in first-seen order (frozen into a flat fast-lookup table
+/// afterwards — see text/qgram.h); df and idf are flat vectors indexed by
+/// gram id, and the row-level inverted index is a block-compressed
+/// PostingStore (delta-coded row ids + separate tf stream in 128-entry
+/// blocks with skip entries, one shared arena — see relational/postings.h).
+/// The build takes one pass over the rows: each gram remembers the last row
+/// it was seen in, so a repeat within a row bumps that posting's tf and a
+/// new row appends one. The retrieval hot path performs no per-lookup string
+/// allocation, no hash-map node chasing, and decodes blocks into
+/// thread-local/stack scratch, so it stays zero-allocation in steady state.
+/// All query methods are const and safe to call concurrently from the
+/// search's worker pool (similarity scoring uses a thread-local dense
+/// accumulator internally).
+class ColumnIndex : public ColumnSummary {
  public:
   struct Options {
     size_t q = 2;                ///< q-gram length (paper uses bi-grams)
@@ -55,34 +61,13 @@ class ColumnIndex {
   ColumnIndex(const Table& table, size_t col, Options options);
 
   size_t q() const { return options_.q; }
-  size_t row_count() const { return row_count_; }
-  size_t column() const { return col_; }
   /// True when the row-level inverted index was built (Options::build_postings).
   bool postings_built() const { return options_.build_postings; }
 
-  /// Rough heap footprint of this index in bytes: distinct-value strings,
-  /// posting lists, the interning dictionary, and the tf-idf df/idf vectors.
-  /// The estimate is stable across calls (nothing here grows after
-  /// construction), which is what the service's byte-budgeted LRU cache
-  /// charges per entry. Deliberately an estimate: exact malloc accounting is
-  /// allocator-specific and not worth plumbing.
-  size_t ApproxMemoryBytes() const;
-
-  /// Number of distinct non-null values.
-  size_t distinct_count() const { return sorted_distinct_.size(); }
-
-  /// Distinct values in sorted order (the "B-tree cursor" for equidistant
-  /// sampling).
-  const std::vector<std::string>& sorted_distinct() const {
-    return sorted_distinct_;
-  }
-
-  /// Average length of non-null instances (0 when the column is empty).
-  double avg_length() const { return avg_length_; }
-
-  /// True when every non-null instance has the same (non-zero) length —
-  /// a fixed-width column (Section 3.3.3's fixed-field case).
-  bool fixed_width() const { return min_length_ == max_length_ && max_length_ > 0; }
+  /// The summary's bytes plus posting lists, the interning dictionary, and
+  /// the tf-idf df/idf vectors. Nothing grows after construction, so the
+  /// cache's charge stays accurate.
+  size_t ApproxMemoryBytes() const override;
 
   /// Number of rows containing `gram` at least once.
   int DocumentFrequency(std::string_view gram) const;
@@ -91,6 +76,10 @@ class ColumnIndex {
   /// postings were not built). Allocates — a test/inspection accessor, not
   /// the hot path; retrieval decodes blocks into reusable scratch instead.
   std::vector<Posting> DecodedPostings(std::string_view gram) const;
+
+  /// The block-compressed posting lists, by gram id (empty unless
+  /// postings were built). Read-only: lets tests pin the encoded bytes.
+  const PostingStore& postings() const { return store_; }
 
   /// Sum over the key's q-grams (with multiplicity) of their document
   /// frequency — the "count T2 where A includes q-grams of key" reading (a)
@@ -171,13 +160,7 @@ class ColumnIndex {
                                                RunBudget* budget) const;
 
   const Table& table_;
-  size_t col_;
   Options options_;
-  size_t row_count_ = 0;
-  double avg_length_ = 0;
-  size_t min_length_ = 0;
-  size_t max_length_ = 0;
-  std::vector<std::string> sorted_distinct_;
   /// gram <-> dense id; shared with tfidf_ so both agree on ids.
   std::shared_ptr<text::QGramDictionary> dict_;
   /// Block-compressed posting lists by gram id (empty unless

@@ -25,11 +25,11 @@ std::vector<size_t> EquidistantIndices(size_t population, size_t t) {
   return out;
 }
 
-std::vector<std::string> SampleDistinctValues(const ColumnIndex& index,
+std::vector<std::string> SampleDistinctValues(const ColumnSummary& summary,
                                               double fraction,
                                               size_t min_count,
                                               RunBudget* budget) {
-  const auto& distinct = index.sorted_distinct();
+  const auto& distinct = summary.sorted_distinct();
   size_t t = SampleSize(distinct.size(), fraction, min_count);
   std::vector<std::string> out;
   out.reserve(t);

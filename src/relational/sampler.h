@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/deadline.h"
-#include "relational/column_index.h"
+#include "relational/column_summary.h"
 
 namespace mcsm::relational {
 
@@ -26,7 +26,7 @@ std::vector<size_t> EquidistantIndices(size_t population, size_t t);
 /// from biasing match counts — Section 3.2). At least `min_count` values are
 /// returned when the column has that many. When `budget` is given and
 /// already exhausted, a truncated (possibly empty) sample is returned.
-std::vector<std::string> SampleDistinctValues(const ColumnIndex& index,
+std::vector<std::string> SampleDistinctValues(const ColumnSummary& summary,
                                               double fraction,
                                               size_t min_count = 1,
                                               RunBudget* budget = nullptr);

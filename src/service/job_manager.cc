@@ -405,14 +405,9 @@ void JobManager::RunJob(uint64_t id) {
                                                   target_column,
                                                   target_index_options);
     options.env.source_index_provider =
-        [this, source_table, source_fp,
-         q = options.q](size_t column)
-        -> std::shared_ptr<const relational::ColumnIndex> {
-      relational::ColumnIndex::Options source_index_options;
-      source_index_options.q = q;
-      source_index_options.build_postings = false;
-      return cache_->GetOrBuild(source_table, source_fp, column,
-                                source_index_options);
+        [this, source_table, source_fp](size_t column)
+        -> std::shared_ptr<const relational::ColumnSummary> {
+      return cache_->GetOrBuildSummary(source_table, source_fp, column);
     };
 
     auto discovered = core::DiscoverTranslation(*source_table, *target_table,

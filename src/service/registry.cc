@@ -107,14 +107,17 @@ std::string CacheKey(uint64_t fingerprint, size_t column,
                    options.q, options.build_postings ? 1 : 0);
 }
 
+std::string SummaryKey(uint64_t fingerprint, size_t column) {
+  return StrFormat("%016llx/c%zu/s",
+                   static_cast<unsigned long long>(fingerprint), column);
+}
+
 }  // namespace
 
-std::shared_ptr<const relational::ColumnIndex> IndexCache::GetOrBuild(
-    const std::shared_ptr<const relational::Table>& table,
-    uint64_t fingerprint, size_t column,
-    const relational::ColumnIndex::Options& options) {
-  if (table == nullptr || column >= table->num_columns()) return nullptr;
-  const std::string key = CacheKey(fingerprint, column, options);
+std::shared_ptr<const relational::ColumnSummary> IndexCache::GetOrBuildEntry(
+    const std::string& key, std::shared_ptr<const relational::Table> table,
+    const std::function<std::shared_ptr<const relational::ColumnSummary>()>&
+        build) {
   {
     ReaderLock lock(mu_);
     auto it = entries_.find(key);
@@ -128,19 +131,18 @@ std::shared_ptr<const relational::ColumnIndex> IndexCache::GetOrBuild(
           use_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
           std::memory_order_relaxed);
       hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second->index;
+      return it->second->value;
     }
   }
   // ordering: relaxed — monotonic counter (metrics only).
   misses_.fetch_add(1, std::memory_order_relaxed);
 
-  // Build outside any lock: index construction is the expensive part and
-  // must not serialize unrelated cache reads.
+  // Build outside any lock: construction is the expensive part and must not
+  // serialize unrelated cache reads.
   auto entry = std::make_unique<Entry>();
-  entry->table = table;
-  entry->index = std::make_shared<const relational::ColumnIndex>(
-      *table, column, options);
-  entry->bytes = entry->index->ApproxMemoryBytes();
+  entry->table = std::move(table);
+  entry->value = build();
+  entry->bytes = entry->value->ApproxMemoryBytes();
   // ordering: relaxed — eviction-heuristic sequence number, see the hit path.
   entry->last_used.store(use_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
                          std::memory_order_relaxed);
@@ -149,13 +151,35 @@ std::shared_ptr<const relational::ColumnIndex> IndexCache::GetOrBuild(
   auto it = entries_.find(key);
   if (it != entries_.end()) {
     // Lost the build race; adopt the winner and drop our copy.
-    return it->second->index;
+    return it->second->value;
   }
   bytes_ += entry->bytes;
-  auto index = entry->index;
+  auto value = entry->value;
   entries_.emplace(key, std::move(entry));
   EvictUnderLock();
-  return index;
+  return value;
+}
+
+std::shared_ptr<const relational::ColumnIndex> IndexCache::GetOrBuild(
+    const std::shared_ptr<const relational::Table>& table,
+    uint64_t fingerprint, size_t column,
+    const relational::ColumnIndex::Options& options) {
+  if (table == nullptr || column >= table->num_columns()) return nullptr;
+  // An index key only ever holds a ColumnIndex.
+  return std::static_pointer_cast<const relational::ColumnIndex>(
+      GetOrBuildEntry(CacheKey(fingerprint, column, options), table, [&] {
+        return std::make_shared<const relational::ColumnIndex>(*table, column,
+                                                               options);
+      }));
+}
+
+std::shared_ptr<const relational::ColumnSummary> IndexCache::GetOrBuildSummary(
+    const std::shared_ptr<const relational::Table>& table,
+    uint64_t fingerprint, size_t column) {
+  if (table == nullptr || column >= table->num_columns()) return nullptr;
+  return GetOrBuildEntry(SummaryKey(fingerprint, column), nullptr, [&] {
+    return std::make_shared<const relational::ColumnSummary>(*table, column);
+  });
 }
 
 void IndexCache::EvictUnderLock() {

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -88,22 +89,24 @@ struct IndexCacheStats {
   uint64_t entries = 0;  ///< current entry count
 };
 
-/// \brief Byte-budgeted memoization of ColumnIndex builds, keyed by
-/// (table fingerprint, column, q, postings). The hot path — a repeat job
+/// \brief Byte-budgeted memoization of the column structures a search
+/// reads: target-column ColumnIndexes, keyed by (table fingerprint, column,
+/// q, postings), and source-column ColumnSummaries, keyed by (table
+/// fingerprint, column) under their own key. The hot path — a repeat job
 /// against an already-indexed table — takes a shared lock and one relaxed
 /// atomic store; builds happen outside any lock, with a double-checked
 /// insert so concurrent first-users race benignly (one build wins, the
 /// loser's work is dropped).
 ///
-/// Eviction is LRU by a global use-clock: entries carry an atomic last-used
-/// sequence number (bumped on hit without taking the exclusive lock), and
-/// inserts evict lowest-sequence entries until the budget holds. Evicted
-/// indexes stay alive for any job still holding the shared_ptr; "evicted"
-/// only means "next user rebuilds".
+/// Both kinds share one budget and one LRU. Eviction is by a global
+/// use-clock: entries carry an atomic last-used sequence number (bumped on
+/// hit without taking the exclusive lock), and inserts evict lowest-sequence
+/// entries until the budget holds. Evicted entries stay alive for any job
+/// still holding the shared_ptr; "evicted" only means "next user rebuilds".
 class IndexCache {
  public:
   /// `byte_budget` caps the sum of ApproxMemoryBytes over cached entries.
-  /// One oversized index still caches (the alternative — rebuilding it for
+  /// One oversized entry still caches (the alternative — rebuilding it for
   /// every job — is strictly worse); it just evicts everything else.
   explicit IndexCache(size_t byte_budget);
 
@@ -116,15 +119,33 @@ class IndexCache {
       uint64_t fingerprint, size_t column,
       const relational::ColumnIndex::Options& options);
 
+  /// Returns the cached summary of (fingerprint, column) or builds, inserts
+  /// and returns it. A summary owns its values and has no q, so the entry
+  /// retains no table and serves every q.
+  std::shared_ptr<const relational::ColumnSummary> GetOrBuildSummary(
+      const std::shared_ptr<const relational::Table>& table,
+      uint64_t fingerprint, size_t column);
+
   IndexCacheStats stats() const;
 
  private:
   struct Entry {
+    /// Set for index entries only (see GetOrBuild).
     std::shared_ptr<const relational::Table> table;
-    std::shared_ptr<const relational::ColumnIndex> index;
+    /// A ColumnIndex under an index key, a ColumnSummary under a summary
+    /// key: the key names the type.
+    std::shared_ptr<const relational::ColumnSummary> value;
     size_t bytes = 0;
     std::atomic<uint64_t> last_used{0};
   };
+
+  /// The lookup-or-build path both kinds share: on a miss, `build` runs
+  /// outside any lock and the result is inserted under `key`, charged by its
+  /// ApproxMemoryBytes, retaining `table` when given.
+  std::shared_ptr<const relational::ColumnSummary> GetOrBuildEntry(
+      const std::string& key, std::shared_ptr<const relational::Table> table,
+      const std::function<std::shared_ptr<const relational::ColumnSummary>()>&
+          build);
 
   void EvictUnderLock() MCSM_REQUIRES(mu_);
 

@@ -267,20 +267,34 @@ long long KeyGramOverlap::Shared(std::span<const std::string_view> free) {
   return shared;
 }
 
+QGramDictionary::QGramDictionary(size_t q) : q_(q) {
+  if (q_ == 1 || q_ == 2) direct_.assign(q_ == 1 ? 256u : 65536u, kNoGram);
+}
+
+uint32_t QGramDictionary::Add(std::string_view gram) {
+  const auto id = static_cast<uint32_t>(grams_.size());
+  grams_.emplace_back(gram);
+  ids_.emplace(grams_.back(), id);
+  if (gram.size() != q_) foreign_length_ = true;
+  return id;
+}
+
 uint32_t QGramDictionary::Intern(std::string_view gram) {
   auto it = ids_.find(gram);
   if (it != ids_.end()) return it->second;
-  if (frozen_) {
-    // The flat tables describe a stale gram set from here on; drop them.
+  const uint32_t id = Add(gram);
+  if (!direct_.empty() && gram.size() == q_) {
+    // q <= 2: the direct-address table takes the gram in place, so a frozen
+    // dictionary stays frozen.
+    direct_[Pack32(gram)] = id;
+  } else if (frozen_) {
+    // The open-addressing table (or, for a foreign-length gram, the frozen
+    // length check) describes a stale gram set from here on; drop it.
     // Callers re-Freeze() after their last Intern.
     frozen_ = false;
-    direct_.clear();
     oa_keys_.clear();
     oa_ids_.clear();
   }
-  uint32_t id = static_cast<uint32_t>(grams_.size());
-  grams_.emplace_back(gram);
-  ids_.emplace(grams_.back(), id);
   return id;
 }
 
@@ -305,22 +319,14 @@ uint32_t QGramDictionary::FindPacked(uint32_t packed) const {
 
 void QGramDictionary::Freeze() {
   frozen_ = false;
-  direct_.clear();
   oa_keys_.clear();
   oa_ids_.clear();
-  if (q_ == 0 || q_ > 4) return;
   // Every interned gram must pack into q_ bytes; Intern() accepts arbitrary
   // strings, so a foreign-length gram (possible via the precomputed-df
   // TfIdfModel constructor) keeps the dictionary on the hash-map path.
-  for (const std::string& g : grams_) {
-    if (g.size() != q_) return;
-  }
-  if (q_ <= 2) {
-    direct_.assign(q_ == 1 ? 256u : 65536u, kNoGram);
-    for (uint32_t id = 0; id < grams_.size(); ++id) {
-      direct_[Pack32(grams_[id])] = id;
-    }
-  } else {
+  if (q_ == 0 || q_ > 4 || foreign_length_) return;
+  // q <= 2: the direct-address table is already current.
+  if (q_ > 2) {
     // Load factor <= 0.5 keeps linear-probe chains short and guarantees an
     // empty slot terminates every miss probe.
     size_t capacity = 16;
@@ -412,35 +418,25 @@ void QGramDictionary::FindIds(std::string_view s,
 void QGramDictionary::InternIds(std::string_view s,
                                 std::vector<uint32_t>* out) {
   if (q_ == 0 || s.size() < q_) return;
-  for (size_t i = 0; i + q_ <= s.size(); ++i) {
-    out->push_back(Intern(s.substr(i, q_)));
-  }
-}
-
-int SharedQGrams(std::string_view a, std::string_view b, size_t q) {
-  if (q == 0 || a.size() < q || b.size() < q) return 0;
-  if (q <= 4) {
-    // Same packed sort+merge fast path as SharedQGramsMasked, minus the mask.
-    SharedGramScratch& scratch = t_shared_grams;
-    const std::vector<uint32_t>& ga = scratch.SortedGramsOfA(a, q);
-    std::vector<uint32_t>& gb = scratch.gb;
-    gb.clear();
-    for (size_t i = 0; i + q <= b.size(); ++i) {
-      gb.push_back(PackGramKey(b, i, q));
+  if (direct_.empty()) {
+    for (size_t i = 0; i + q_ <= s.size(); ++i) {
+      out->push_back(Intern(s.substr(i, q_)));
     }
-    std::sort(gb.begin(), gb.end());
-    return SortedSharedCount(ga, gb);
+    return;
   }
-  auto pa = QGramProfile(a, q);
-  auto pb = QGramProfile(b, q);
-  // Iterate over the smaller profile.
-  if (pb.size() < pa.size()) std::swap(pa, pb);
-  int shared = 0;
-  for (const auto& [gram, count] : pa) {
-    auto it = pb.find(gram);
-    if (it != pb.end()) shared += std::min(count, it->second);
+  // q <= 2: one direct-address load per window; only a new gram reaches the
+  // hash map.
+  const size_t windows = s.size() - q_ + 1;
+  const size_t base = out->size();
+  out->resize(base + windows);
+  uint32_t* dst = out->data() + base;
+  for (size_t i = 0; i < windows; ++i) {
+    uint32_t packed = static_cast<unsigned char>(s[i]);
+    if (q_ == 2) packed |= uint32_t{static_cast<unsigned char>(s[i + 1])} << 8;
+    uint32_t& id = direct_[packed];
+    if (id == kNoGram) id = Add(s.substr(i, q_));
+    dst[i] = id;
   }
-  return shared;
 }
 
 }  // namespace mcsm::text

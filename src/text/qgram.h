@@ -33,13 +33,10 @@ size_t QGramCount(size_t len, size_t q);
 std::vector<std::string> QGramsExcluding(std::string_view s, size_t q,
                                          std::string_view excluded);
 
-/// Returns the number of q-grams shared between `a` and `b`, counting
-/// multiplicity (the min of the two profiles, summed).
-int SharedQGrams(std::string_view a, std::string_view b, size_t q);
-
-/// As SharedQGrams, but only q-grams of `b` lying entirely within positions
-/// where `b_allowed` is true are considered (`b_allowed.size() == b.size()`).
-/// Used by the refinement filter: the key must share material with the
+/// Returns the number of q-grams of `b` lying entirely within positions
+/// where `b_allowed` is true (`b_allowed.size() == b.size()`) that `a`
+/// shares, counting multiplicity (the min of the two profiles, summed). Used
+/// by the refinement filter: the key must share material with the
 /// *unexplained* portion of the target instance.
 int SharedQGramsMasked(std::string_view a, std::string_view b,
                        const std::vector<bool>& b_allowed, size_t q);
@@ -51,11 +48,11 @@ int SharedQGramsMasked(std::string_view a, std::string_view b,
 /// hold g at least k times. As min(a, b) = #{k <= b : a >= k}, adding
 /// level(g, k) for the k-th occurrence of g in a string gives, summed over
 /// the keys, min(count in key, count in string): the sum over the keys of
-/// SharedQGrams, or of SharedQGramsMasked when only the string's free
-/// stretches are scanned. Keys shorter than q hold no gram. Exact for every
-/// q >= 1: grams of up to 4 bytes are probed packed, longer ones by view, so
-/// the keys' bytes must then outlive the table. Not thread-safe (Shared()
-/// keeps per-call occurrence counts); build one per worker.
+/// SharedQGramsMasked, scanning only the string's free stretches. Keys
+/// shorter than q hold no gram. Exact for every q >= 1: grams of up to 4
+/// bytes are probed packed, longer ones by view, so the keys' bytes must
+/// then outlive the table. Not thread-safe (Shared() keeps per-call
+/// occurrence counts); build one per worker.
 class KeyGramOverlap {
  public:
   KeyGramOverlap(const std::vector<std::string_view>& keys, size_t q);
@@ -95,28 +92,34 @@ class KeyGramOverlap {
 /// Built once per column index / tf-idf model. Interning turns every hot
 /// per-gram statistic (df, idf, postings) into a flat vector indexed by id,
 /// and every later lookup into one transparent hash probe with no string
-/// allocation. Not thread-safe for Intern; Find and the accessors are
-/// read-only and safe to share across threads once building is done.
+/// allocation. Ids are dense and handed out in first-seen order. Not
+/// thread-safe for Intern; Find and the accessors are read-only and safe to
+/// share across threads once building is done.
 ///
-/// After interning, Freeze() builds a flat fast-lookup structure for short
-/// grams (q <= 4, the practical range — the paper uses q = 2 throughout):
-/// bigrams and unigrams get a direct-address table (one load per probe, no
-/// hashing at all), 3- and 4-grams a linear-probed open-addressing table
-/// over the gram bytes packed into a uint32. Frozen FindIds dispatches to
-/// the batched SIMD kernels in text/simd.h (8-16 grams per iteration); the
-/// results are bit-identical to the hash-map path at every dispatch tier.
+/// Bigrams and unigrams (q <= 2; the paper uses q = 2 throughout) also get a
+/// direct-address table over the gram bytes packed into a uint32, kept
+/// current from construction on: InternIds resolves each window with one
+/// load and touches the hash map only for a new gram. After interning,
+/// Freeze() switches lookups to the flat tables: the direct-address table
+/// for q <= 2 (one load per probe, no hashing at all), and for 3- and
+/// 4-grams a linear-probed open-addressing table it builds over the packed
+/// grams. Frozen FindIds dispatches to the batched SIMD kernels in
+/// text/simd.h (8-16 grams per iteration); the results are bit-identical to
+/// the hash-map path at every dispatch tier.
 class QGramDictionary {
  public:
   /// Sentinel id for grams that were never interned.
   static constexpr uint32_t kNoGram = 0xFFFFFFFFu;
 
-  explicit QGramDictionary(size_t q) : q_(q) {}
+  explicit QGramDictionary(size_t q);
 
   size_t q() const { return q_; }
   /// Number of distinct grams interned so far (ids are 0..size()-1).
   size_t size() const { return grams_.size(); }
 
-  /// Id of `gram`, interning it if new. Invalidates a prior Freeze().
+  /// Id of `gram`, interning it if new. A new gram invalidates a prior
+  /// Freeze(), except a q-byte gram for q <= 2: the direct-address table
+  /// takes it in place.
   uint32_t Intern(std::string_view gram);
 
   /// Id of `gram`, or kNoGram when it was never interned. No allocation.
@@ -129,10 +132,13 @@ class QGramDictionary {
   /// `out`; grams never interned appear as kNoGram.
   void FindIds(std::string_view s, std::vector<uint32_t>* out) const;
 
-  /// As FindIds but interning, so no kNoGram entries are produced.
+  /// As FindIds but interning, so no kNoGram entries are produced. For
+  /// q <= 2 each window costs one direct-address load (a new gram also one
+  /// hash-map insert); larger q probe the hash map per window.
   void InternIds(std::string_view s, std::vector<uint32_t>* out);
 
-  /// Builds the flat fast-lookup tables for the current gram set. Call once
+  /// Switches Find/FindIds to the flat fast-lookup tables for the current
+  /// gram set, building the open-addressing table for q == 3..4. Call once
   /// after the last Intern (ColumnIndex / TfIdfModel construction does).
   /// No-op for q == 0 or q > 4, and when any interned gram's length differs
   /// from q (defensive: such grams cannot be packed) — lookups then stay on
@@ -140,16 +146,20 @@ class QGramDictionary {
   void Freeze();
 
   /// True when Find/FindIds run on the flat tables (after Freeze, until the
-  /// next Intern).
+  /// next Intern that invalidates it).
   bool frozen() const { return frozen_; }
 
-  /// Heap bytes of the fast-lookup tables (0 when not frozen). Counted by
+  /// Heap bytes of the flat lookup tables. Counted by
   /// ColumnIndex::ApproxMemoryBytes so cache charges follow the layout.
   size_t ApproxFastLookupBytes() const;
 
  private:
   /// `gram` packed little-endian into a uint32 (requires gram.size() <= 4).
   static uint32_t Pack32(std::string_view gram);
+
+  /// Appends `gram` (known to be new) to the id space and the hash map;
+  /// returns its id.
+  uint32_t Add(std::string_view gram);
 
   /// Fast-path probe of a packed gram (requires frozen_).
   uint32_t FindPacked(uint32_t packed) const;
@@ -170,12 +180,17 @@ class QGramDictionary {
   std::vector<std::string> grams_;
   std::unordered_map<std::string, uint32_t, TransparentHash, std::equal_to<>>
       ids_;
+  /// True once a gram whose length differs from q_ was interned (only the
+  /// precomputed-df TfIdfModel constructor can): Freeze() is then a no-op.
+  bool foreign_length_ = false;
 
-  /// Fast-lookup state (valid while frozen_):
-  /// q <= 2 — direct_[packed gram] = id (256 or 65536 entries);
-  /// q == 3..4 — linear-probed table: slot h holds (oa_keys_[h], oa_ids_[h]),
-  /// empty slots marked by oa_ids_[h] == kNoGram, bucket = multiply-shift
-  /// hash of the packed gram (simd::kHashMult, shift oa_shift_).
+  /// Fast-lookup state:
+  /// q <= 2 — direct_[packed gram] = id (256 or 65536 entries), current at
+  /// all times (kNoGram marks grams not interned);
+  /// q == 3..4 — linear-probed table, valid while frozen_: slot h holds
+  /// (oa_keys_[h], oa_ids_[h]), empty slots marked by oa_ids_[h] == kNoGram,
+  /// bucket = multiply-shift hash of the packed gram (simd::kHashMult, shift
+  /// oa_shift_).
   bool frozen_ = false;
   std::vector<uint32_t> direct_;
   std::vector<uint32_t> oa_keys_;

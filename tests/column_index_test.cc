@@ -1,11 +1,16 @@
 #include "relational/column_index.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "datagen/datasets.h"
 #include "relational/sampler.h"
 
 namespace mcsm::relational {
@@ -154,6 +159,205 @@ TEST(ColumnIndexTest, SimilarRowsByCountUsesRawCounts) {
   EXPECT_EQ(rows[0].row, 0u);
   EXPECT_DOUBLE_EQ(rows[0].score, 3.0);  // ab, bc, cd
   EXPECT_DOUBLE_EQ(rows[1].score, 1.0);  // ab
+}
+
+// --- ColumnSummary -----------------------------------------------------------
+
+// The summary of `col`, the summary part of its ColumnIndex, and a
+// brute-force reference (a std::set of the text values and their lengths)
+// must agree.
+void ExpectSummaryOf(const Table& table, size_t col, const ColumnIndex& index,
+                     const std::string& context) {
+  const ColumnSummary summary(table, col);
+  std::set<std::string> distinct;
+  size_t non_null = 0;
+  size_t total = 0;
+  size_t min_len = 0;
+  size_t max_len = 0;
+  const ColumnView view = table.Column(col);
+  for (size_t row = 0; row < table.num_rows(); ++row) {
+    if (!view.IsText(row)) continue;
+    const std::string value(view.GetText(row).view());
+    distinct.insert(value);
+    min_len = non_null == 0 ? value.size() : std::min(min_len, value.size());
+    max_len = std::max(max_len, value.size());
+    total += value.size();
+    ++non_null;
+  }
+  const std::vector<std::string> sorted(distinct.begin(), distinct.end());
+  const double avg = non_null == 0 ? 0.0
+                                   : static_cast<double>(total) /
+                                         static_cast<double>(non_null);
+  for (const ColumnSummary* s :
+       {&summary, static_cast<const ColumnSummary*>(&index)}) {
+    const std::string which =
+        context + (s == &summary ? " (summary)" : " (index)");
+    EXPECT_EQ(s->column(), col) << which;
+    EXPECT_EQ(s->row_count(), table.num_rows()) << which;
+    EXPECT_EQ(s->distinct_count(), sorted.size()) << which;
+    EXPECT_EQ(s->sorted_distinct(), sorted) << which;
+    EXPECT_EQ(s->avg_length(), avg) << which;
+    EXPECT_EQ(s->min_length(), min_len) << which;
+    EXPECT_EQ(s->max_length(), max_len) << which;
+    EXPECT_EQ(s->fixed_width(), min_len == max_len && max_len > 0) << which;
+  }
+  EXPECT_LE(summary.ApproxMemoryBytes(), index.ApproxMemoryBytes()) << context;
+}
+
+TEST(ColumnSummaryTest, MatchesIndexOnEveryDatagenSourceColumn) {
+  datagen::UserIdOptions userid;
+  userid.rows = 400;
+  userid.with_dates = true;
+  datagen::TimeOptions time;
+  time.rows = 300;
+  datagen::MergedNamesOptions names;
+  names.rows = 400;
+  datagen::MergedNamesOptions comma = names;
+  comma.comma_separator = true;
+  datagen::CitationOptions citations;
+  citations.rows = 300;
+  datagen::CrossCitationOptions cross;
+  cross.target_rows = 300;
+  cross.source_rows = 200;
+  cross.exact_overlap = 10;
+  cross.swapped_overlap = 5;
+  datagen::DateFormatOptions date;
+  date.rows = 300;
+  datagen::PartNumberOptions part;
+  part.rows = 300;
+  const std::vector<std::pair<std::string, datagen::Dataset>> families = {
+      {"userid", datagen::MakeUserIdDataset(userid)},
+      {"time", datagen::MakeTimeDataset(time)},
+      {"names", datagen::MakeMergedNamesDataset(names)},
+      {"comma_names", datagen::MakeMergedNamesDataset(comma)},
+      {"citations", datagen::MakeCitationDataset(citations)},
+      {"cross_citations", datagen::MakeCrossCitationDataset(cross)},
+      {"date", datagen::MakeDateFormatDataset(date)},
+      {"part", datagen::MakePartNumberDataset(part)},
+  };
+  for (const auto& [name, data] : families) {
+    ASSERT_GT(data.source.num_columns(), 0u) << name;
+    for (size_t col = 0; col < data.source.num_columns(); ++col) {
+      ExpectSummaryOf(data.source, col, ColumnIndex(data.source, col, {}),
+                      name + " column " + std::to_string(col));
+    }
+  }
+}
+
+TEST(ColumnSummaryTest, MatchesIndexOnEmptyAndNullColumns) {
+  const Table empty = MakeTable({});
+  ExpectSummaryOf(empty, 0, ColumnIndex(empty, 0, {}), "empty");
+  EXPECT_EQ(ColumnSummary(empty, 0).distinct_count(), 0u);
+  EXPECT_EQ(ColumnSummary(empty, 0).avg_length(), 0.0);
+
+  Table all_null = Table::WithTextColumns({"a"});
+  Table some_null = Table::WithTextColumns({"a"});
+  for (const char* v : {"pear", "fig", "pear", "apple"}) {
+    ASSERT_TRUE(all_null.AppendRow({Value::MakeNull()}).ok());
+    ASSERT_TRUE(some_null.AppendRow({Value::MakeNull()}).ok());
+    ASSERT_TRUE(some_null.AppendTextRow({v}).ok());
+  }
+  ExpectSummaryOf(all_null, 0, ColumnIndex(all_null, 0, {}), "all NULL");
+  const ColumnSummary nulls(all_null, 0);
+  EXPECT_EQ(nulls.row_count(), 4u);
+  EXPECT_EQ(nulls.distinct_count(), 0u);
+  EXPECT_FALSE(nulls.fixed_width());
+
+  ExpectSummaryOf(some_null, 0, ColumnIndex(some_null, 0, WithPostings()),
+                  "some NULL");
+  const ColumnSummary some(some_null, 0);
+  EXPECT_EQ(some.row_count(), 8u);
+  EXPECT_EQ(some.sorted_distinct(),
+            (std::vector<std::string>{"apple", "fig", "pear"}));
+  EXPECT_DOUBLE_EQ(some.avg_length(), 4.0);  // (4 + 3 + 4 + 5) / 4
+  EXPECT_EQ(some.min_length(), 3u);
+  EXPECT_EQ(some.max_length(), 5u);
+}
+
+// --- PostingStore byte pins --------------------------------------------------
+//
+// The target index of five datagen families, pinned by FNV-1a over its
+// PostingStore: the arena bytes, then every block meta in gram-id order. The
+// hashes were recorded before the one-pass build replaced the sort-based one,
+// so they hold the build to the same gram ids, df, posting lists and block
+// boundaries (Intersect's budget tail depends on those).
+
+uint64_t Fnv1a64(const void* bytes, size_t size, uint64_t hash) {
+  const auto* p = static_cast<const unsigned char*>(bytes);
+  for (size_t i = 0; i < size; ++i) {
+    hash ^= p[i];
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+uint64_t PostingStoreHash(const PostingStore& store) {
+  uint64_t hash = Fnv1a64(store.data(), store.data_size(),
+                          1469598103934665603ull);
+  for (uint32_t id = 0; id < store.gram_count(); ++id) {
+    auto [blk, end] = store.Blocks(id);
+    for (; blk != end; ++blk) hash = Fnv1a64(blk, sizeof(*blk), hash);
+  }
+  return hash;
+}
+
+struct StorePin {
+  const char* name;
+  datagen::Dataset (*make)();
+  size_t grams;
+  size_t arena_bytes;
+  uint64_t hash;
+};
+
+datagen::Dataset PinTime() {
+  datagen::TimeOptions o;
+  o.rows = 1500;
+  o.seed = 2;
+  return datagen::MakeTimeDataset(o);
+}
+
+datagen::Dataset PinPart() {
+  datagen::PartNumberOptions o;
+  o.rows = 800;
+  o.seed = 3;
+  return datagen::MakePartNumberDataset(o);
+}
+
+datagen::Dataset PinDate() {
+  datagen::DateFormatOptions o;
+  o.rows = 2000;
+  o.seed = 2;
+  return datagen::MakeDateFormatDataset(o);
+}
+
+datagen::Dataset PinCitations() {
+  datagen::CitationOptions o;
+  o.rows = 1000;
+  return datagen::MakeCitationDataset(o);
+}
+
+datagen::Dataset PinNames() {
+  datagen::MergedNamesOptions o;
+  o.rows = 3000;
+  return datagen::MakeMergedNamesDataset(o);
+}
+
+TEST(ColumnIndexPinTest, TargetPostingStoreBytes) {
+  const StorePin pins[] = {
+      {"time_1500_seed2", &PinTime, 84, 12316, 0x0f593237616cf101ull},
+      {"part_800_seed3", &PinPart, 141, 14204, 0x277723cf36b5b0d3ull},
+      {"date_2000_seed2", &PinDate, 114, 29993, 0x2babdae66e0c89b0ull},
+      {"citations_1000", &PinCitations, 697, 122939, 0x583ab7ab0bb9e85full},
+      {"names_3000", &PinNames, 384, 55189, 0x8b2add5fd14e3ec2ull},
+  };
+  for (const StorePin& pin : pins) {
+    const datagen::Dataset data = pin.make();
+    const ColumnIndex index(data.target, data.target_column, WithPostings());
+    const PostingStore& store = index.postings();
+    EXPECT_EQ(store.gram_count(), pin.grams) << pin.name;
+    EXPECT_EQ(store.data_size(), pin.arena_bytes) << pin.name;
+    EXPECT_EQ(PostingStoreHash(store), pin.hash) << pin.name;
+  }
 }
 
 TEST(ColumnIndexTest, SampleDistinctValuesUsesSortedOrder) {

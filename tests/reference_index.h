@@ -62,6 +62,20 @@ class ReferenceIndex {
     return out;
   }
 
+  /// Every gram of the column, in order of first appearance: the ids a
+  /// dictionary that interns rows in order hands out.
+  std::vector<std::string> GramsInFirstSeenOrder() const {
+    std::vector<std::string> grams(first_seen_.size());
+    for (const auto& [gram, id] : first_seen_) grams[id] = gram;
+    return grams;
+  }
+
+  /// Number of text rows containing `gram`.
+  int Df(const std::string& gram) const {
+    auto it = df_.find(gram);
+    return it == df_.end() ? 0 : it->second;
+  }
+
   /// Sum of df over the key's grams, with multiplicity.
   long long TotalQGramHits(std::string_view key) const {
     long long total = 0;
@@ -116,11 +130,6 @@ class ReferenceIndex {
       grams.emplace_back(key.substr(i, q_));
     }
     return grams;
-  }
-
-  int Df(const std::string& gram) const {
-    auto it = df_.find(gram);
-    return it == df_.end() ? 0 : it->second;
   }
 
   /// The key's grams present in the column, rarest first, cut where the

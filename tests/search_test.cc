@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -455,6 +458,66 @@ TEST(SearchTest, InjectedIndexForDifferentTableIsRejected) {
             clean->formula().ToString(data.source.schema()));
   EXPECT_EQ(injected->coverage.matched_rows(),
             clean->coverage.matched_rows());
+}
+
+TEST(SearchTest, InjectedSourceSummariesAreValidatedAndTransparent) {
+  // The source provider's summaries are used when they describe the asked
+  // column of a table with the source's row count; a summary of another
+  // column or table falls back to a local build. Either way the formula and
+  // coverage equal an uninjected run. Indexes convert to summaries, so a
+  // provider of ColumnIndexes is accepted too.
+  datagen::UserIdOptions o;
+  o.rows = 1000;
+  auto data = datagen::MakeUserIdDataset(o);
+  datagen::UserIdOptions stale_options = o;
+  stale_options.rows = 300;
+  auto stale = datagen::MakeUserIdDataset(stale_options);
+  auto clean = DiscoverTranslation(data.source, data.target, 0, FastOptions());
+  ASSERT_TRUE(clean.ok()) << clean.status();
+
+  std::atomic<int> calls{0};
+  const std::vector<std::function<
+      std::shared_ptr<const relational::ColumnSummary>(size_t)>>
+      providers = {
+          [&](size_t column) {
+            ++calls;
+            return std::make_shared<relational::ColumnSummary>(data.source,
+                                                               column);
+          },
+          [&](size_t column) {
+            ++calls;
+            return std::make_shared<relational::ColumnIndex>(
+                data.source, column, relational::ColumnIndex::Options{});
+          },
+          [&](size_t column) {  // wrong column
+            ++calls;
+            return std::make_shared<relational::ColumnSummary>(
+                data.source, column == 0 ? 1 : 0);
+          },
+          [&](size_t column) {  // wrong table
+            ++calls;
+            return std::make_shared<relational::ColumnSummary>(stale.source,
+                                                               column);
+          },
+          [&](size_t) { ++calls; return nullptr; },
+      };
+  for (size_t i = 0; i < providers.size(); ++i) {
+    calls = 0;
+    SearchOptions injected_options = FastOptions();
+    injected_options.env.source_index_provider = providers[i];
+    auto injected =
+        DiscoverTranslation(data.source, data.target, 0, injected_options);
+    ASSERT_TRUE(injected.ok()) << injected.status();
+    EXPECT_GT(calls.load(), 0) << "provider " << i;
+    EXPECT_LE(calls.load(), static_cast<int>(data.source.num_columns()))
+        << "provider " << i;  // at most once per column
+    EXPECT_EQ(injected->formula().ToString(data.source.schema()),
+              clean->formula().ToString(data.source.schema()))
+        << "provider " << i;
+    EXPECT_EQ(injected->coverage.matched_rows(),
+              clean->coverage.matched_rows())
+        << "provider " << i;
+  }
 }
 
 TEST(SearchParallelTest, StepwiseScoresAreIdenticalAcrossThreadCounts) {

@@ -310,6 +310,62 @@ TEST(IndexCacheTest, EvictsLeastRecentlyUsedUnderByteBudget) {
   EXPECT_EQ(tiny.stats().entries, 1u);
 }
 
+TEST(IndexCacheTest, SummariesAreSeparateEntriesChargedLikeIndexes) {
+  TableRegistry registry;
+  auto entry = registry.RegisterCsv(
+      "t", "a,b,c\nhenry,warner,smith\nanna,jones,brown\n");
+  ASSERT_TRUE(entry.ok());
+
+  IndexCache cache(64 * 1024 * 1024);
+  relational::ColumnIndex::Options options;
+  options.q = 2;
+  auto summary = cache.GetOrBuildSummary(entry->table, entry->fingerprint, 0);
+  ASSERT_NE(summary, nullptr);
+  EXPECT_EQ(summary->column(), 0u);
+  EXPECT_EQ(summary->sorted_distinct(),
+            (std::vector<std::string>{"anna", "henry"}));
+  // A repeat lookup hits and hands out the same summary.
+  EXPECT_EQ(cache.GetOrBuildSummary(entry->table, entry->fingerprint, 0).get(),
+            summary.get());
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+
+  // The same column's index is a distinct entry, and both are charged.
+  auto index = cache.GetOrBuild(entry->table, entry->fingerprint, 0, options);
+  ASSERT_NE(index, nullptr);
+  EXPECT_NE(static_cast<const relational::ColumnSummary*>(index.get()),
+            summary.get());
+  IndexCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.bytes,
+            summary->ApproxMemoryBytes() + index->ApproxMemoryBytes());
+  EXPECT_LT(summary->ApproxMemoryBytes(), index->ApproxMemoryBytes());
+
+  EXPECT_EQ(cache.GetOrBuildSummary(nullptr, 0, 0), nullptr);
+  EXPECT_EQ(cache.GetOrBuildSummary(entry->table, entry->fingerprint, 99),
+            nullptr);
+
+  // Under a budget below two summaries, a second summary evicts the first,
+  // which stays usable by its holders; an index insert evicts summaries too.
+  IndexCache small(summary->ApproxMemoryBytes() +
+                   summary->ApproxMemoryBytes() / 2);
+  auto a = small.GetOrBuildSummary(entry->table, entry->fingerprint, 0);
+  auto b = small.GetOrBuildSummary(entry->table, entry->fingerprint, 1);
+  EXPECT_EQ(small.stats().evictions, 1u);
+  EXPECT_EQ(small.stats().entries, 1u);
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a->distinct_count(), 2u);
+  small.GetOrBuild(entry->table, entry->fingerprint, 2, options);
+  EXPECT_EQ(small.stats().evictions, 2u);
+  EXPECT_EQ(small.stats().entries, 1u);
+  // The evicted summary is rebuilt on its next use: a miss, not a hit.
+  const uint64_t misses = small.stats().misses;
+  EXPECT_NE(small.GetOrBuildSummary(entry->table, entry->fingerprint, 1),
+            nullptr);
+  EXPECT_EQ(small.stats().misses, misses + 1);
+}
+
 // --------------------------------------------------------- job manager ----
 
 class JobManagerTest : public ::testing::Test {

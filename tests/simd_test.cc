@@ -289,6 +289,67 @@ TEST(SimdDifferentialTest, TiedFrequenciesAndBudgetsMatchReference) {
   }
 }
 
+// Values that stress the one-pass build: bytes >= 0x80 (packed grams must
+// not sign-extend), NULL rows, values shorter than q (no grams at all) and
+// grams repeated within a value (tf > 1, counted once in df).
+relational::Table BuildEdgeTable(size_t rows, uint64_t seed) {
+  Rng rng(seed);
+  relational::Table t = relational::Table::WithTextColumns({"v"});
+  const std::string alphabet = "ab\x80\xc3\xa9\xff";
+  const std::vector<std::string> fixed = {"", "a", "aaaa", "abab",
+                                          "banana", "\xff\xff\xff",
+                                          "\xc3\xa9t\xc3\xa9"};
+  for (size_t i = 0; i < rows; ++i) {
+    const uint64_t kind = rng.Uniform(8);
+    if (kind == 0) {
+      EXPECT_TRUE(t.AppendRow({relational::Value::MakeNull()}).ok());
+    } else if (kind == 1) {
+      EXPECT_TRUE(t.AppendTextRow({fixed[rng.Uniform(fixed.size())]}).ok());
+    } else {
+      EXPECT_TRUE(
+          t.AppendTextRow({rng.RandomString(rng.Uniform(12), alphabet)}).ok());
+    }
+  }
+  return t;
+}
+
+TEST(SimdDifferentialTest, OnePassBuildMatchesReference) {
+  const relational::Table t = BuildEdgeTable(600, 61);
+  for (size_t q : {size_t{1}, size_t{2}, size_t{3}, size_t{5}}) {
+    for (bool build_postings : {true, false}) {
+      relational::ColumnIndex::Options options = IndexOptions();
+      options.q = q;
+      options.build_postings = build_postings;
+      const relational::ColumnIndex index(t, 0, options);
+      const reference::ReferenceIndex ref(t, 0, q, options.posting_budget);
+      const std::string context = "q=" + std::to_string(q) +
+                                  " postings=" + std::to_string(build_postings);
+      // Gram ids in first-seen order.
+      const std::vector<std::string> grams = ref.GramsInFirstSeenOrder();
+      const QGramDictionary& dict = index.tfidf().dictionary();
+      ASSERT_EQ(dict.size(), grams.size()) << context;
+      EXPECT_EQ(index.postings().gram_count(),
+                build_postings ? grams.size() : 0)
+          << context;
+      for (uint32_t id = 0; id < grams.size(); ++id) {
+        ASSERT_EQ(dict.gram(id), grams[id]) << context << " id " << id;
+        EXPECT_EQ(dict.Find(grams[id]), id) << context;
+        EXPECT_EQ(index.DocumentFrequency(grams[id]), ref.Df(grams[id]))
+            << context << " gram id " << id;
+        if (!build_postings) continue;
+        // Every posting list, decoded.
+        const auto got = index.DecodedPostings(grams[id]);
+        const auto want = ref.Postings(grams[id]);
+        ASSERT_EQ(got.size(), want.size()) << context << " gram id " << id;
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].row, want[i].row) << context << " id " << id;
+          EXPECT_EQ(got[i].tf, want[i].tf) << context << " id " << id;
+        }
+      }
+    }
+  }
+}
+
 TEST(SimdDifferentialTest, ScalarAndVectorRetrievalBitIdentical) {
   relational::Table t = SyntheticTable(1500, 37);
   relational::ColumnIndex idx(t, 0, IndexOptions());
