@@ -1,10 +1,9 @@
 #include "core/report.h"
 
 #include <string_view>
-#include <unordered_map>
-#include <vector>
 
 #include "common/string_util.h"
+#include "core/target_join.h"
 
 namespace mcsm::core {
 
@@ -15,37 +14,22 @@ TranslationReport EvaluateTranslation(const TranslationFormula& formula,
   TranslationReport report;
   report.source_rows = source.num_rows();
   report.target_rows = target.num_rows();
-
-  // The pinned column keeps the map's view keys valid for the matching pass.
-  const relational::PinnedColumn target_values(target.Column(target_column));
-  std::unordered_map<std::string_view, std::vector<size_t>> by_value;
-  size_t usable_targets = 0;
-  for (size_t row = target.num_rows(); row > 0; --row) {
-    std::string_view v = target_values.at(row - 1);
-    if (v.empty()) continue;
-    by_value[v].push_back(row - 1);
-    ++usable_targets;
-  }
-
-  const bool complete = formula.IsComplete();
-  for (size_t row = 0; row < source.num_rows(); ++row) {
-    if (!complete) {
-      ++report.unsatisfiable;
-      continue;
-    }
-    auto produced = formula.Apply(source, row);
-    if (!produced.has_value() || produced->empty()) {
-      ++report.unsatisfiable;
-      continue;
-    }
-    auto it = by_value.find(std::string_view(*produced));
-    if (it == by_value.end() || it->second.empty()) {
+  Result<vm::TranslateResult> translated = TranslateForCoverage(formula, source);
+  MCSM_CHECK_OK(translated.status())
+      << " evaluating " << formula.ToString(source.schema());
+  TargetJoin join(target, target_column);
+  for (size_t i = 0; i < translated->output_rows(); ++i) {
+    const std::string_view produced = translated->value(i);
+    if (produced.empty()) continue;  // counted as unsatisfiable below
+    if (join.Take(produced) == TargetJoin::kNoRow) {
       ++report.produced_unmatched;
-      continue;
+    } else {
+      ++report.covered;
     }
-    it->second.pop_back();
-    ++report.covered;
   }
+  // Rows the VM did not cover, and rows that produced an empty value.
+  report.unsatisfiable =
+      report.source_rows - report.covered - report.produced_unmatched;
   report.target_unexplained = report.target_rows - report.covered;
   return report;
 }

@@ -44,8 +44,11 @@ struct TranslationReport {
   std::string ToString() const;
 };
 
-/// Evaluates `formula` against the tables (formula must be complete;
-/// otherwise every source row counts as unsatisfiable).
+/// Evaluates `formula` against the tables in one VM translation and one
+/// TargetJoin pass, the same pairing as TranslationSearch::ComputeCoverage,
+/// so `covered` equals its matched rows. An incomplete or empty formula
+/// counts every source row as unsatisfiable; a formula the VM refuses
+/// aborts, as in ComputeCoverage.
 TranslationReport EvaluateTranslation(const TranslationFormula& formula,
                                       const relational::Table& source,
                                       const relational::Table& target,

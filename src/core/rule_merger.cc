@@ -1,7 +1,9 @@
 #include "core/rule_merger.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <string_view>
+
+#include "core/target_join.h"
 
 namespace mcsm::core {
 
@@ -134,25 +136,30 @@ std::string MergedRule::ToString() const {
 Coverage MergedRule::ComputeCoverage(const relational::Table& source,
                                      const relational::Table& target,
                                      size_t target_column) const {
-  Coverage coverage;
-  auto expansions = Expansions();
-  // Target value -> unused rows (as in TranslationSearch::ComputeCoverage).
-  // The pinned column keeps the map's view keys valid for the matching pass.
-  const relational::PinnedColumn target_values(target.Column(target_column));
-  std::unordered_map<std::string_view, std::vector<size_t>> by_value;
-  for (size_t row = target.num_rows(); row > 0; --row) {
-    std::string_view v = target_values.at(row - 1);
-    if (!v.empty()) by_value[v].push_back(row - 1);
+  // One translation per expansion, in expansion order; each keeps a cursor
+  // into its covered rows (ascending).
+  std::vector<vm::TranslateResult> translations;
+  for (const TranslationFormula& f : Expansions()) {
+    Result<vm::TranslateResult> translated = TranslateForCoverage(f, source);
+    MCSM_CHECK_OK(translated.status())
+        << " computing the coverage of " << f.ToString(source.schema());
+    translations.push_back(std::move(translated).value());
   }
+  std::vector<size_t> cursors(translations.size(), 0);
+  Coverage coverage;
+  TargetJoin join(target, target_column);
   for (size_t row = 0; row < source.num_rows(); ++row) {
-    for (const TranslationFormula& f : expansions) {
-      auto produced = f.Apply(source, row);
-      if (!produced.has_value() || produced->empty()) continue;
-      auto it = by_value.find(std::string_view(*produced));
-      if (it == by_value.end() || it->second.empty()) continue;
-      coverage.matches.push_back({row, it->second.back()});
-      it->second.pop_back();
-      break;  // one target row per source row
+    bool matched = false;
+    for (size_t e = 0; e < translations.size(); ++e) {
+      const vm::TranslateResult& t = translations[e];
+      size_t& cursor = cursors[e];
+      if (cursor == t.output_rows() || t.rows[cursor] != row) continue;
+      const std::string_view produced = t.value(cursor++);
+      if (matched) continue;  // one target row per source row
+      const size_t target_row = join.Take(produced);
+      if (target_row == TargetJoin::kNoRow) continue;
+      coverage.matches.push_back({row, target_row});
+      matched = true;
     }
   }
   return coverage;

@@ -54,7 +54,9 @@ class MergedRule {
 
   /// Union coverage over all expansions: each source row is translated by
   /// the first expansion (most regions first) that matches an unused target
-  /// row — the "greater coverage" the paper is after.
+  /// row — the "greater coverage" the paper is after. Each expansion runs
+  /// once on the VM; one TargetJoin serves them all. An expansion the VM
+  /// refuses aborts, as in TranslationSearch::ComputeCoverage.
   Coverage ComputeCoverage(const relational::Table& source,
                            const relational::Table& target,
                            size_t target_column) const;

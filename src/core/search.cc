@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <unordered_map>
 
 #include "common/env.h"
 #include "common/failpoint.h"
 #include "common/string_util.h"
 #include "core/pattern_candidates.h"
 #include "core/separator.h"
+#include "core/target_join.h"
 #include "relational/sampler.h"
 #include "text/alignment.h"
 #include "text/qgram.h"
@@ -800,8 +800,10 @@ Result<SearchResult> TranslationSearch::Run() {
         if (!improved) break;
       }
       if (attempt.formula.IsComplete()) {
-        attempt.coverage = ComputeCoverage(attempt.formula, source_, target_,
-                                           target_column_);
+        MCSM_ASSIGN_OR_RETURN(
+            attempt.coverage,
+            TryComputeCoverage(attempt.formula, source_, target_,
+                               target_column_));
       }
       const size_t covered = attempt.coverage.matched_rows();
       if (trace_ != nullptr) {
@@ -844,29 +846,31 @@ Result<SearchResult> TranslationSearch::Run() {
   return best_attempt;
 }
 
+Result<Coverage> TranslationSearch::TryComputeCoverage(
+    const TranslationFormula& formula, const relational::Table& source,
+    const relational::Table& target, size_t target_column) {
+  MCSM_ASSIGN_OR_RETURN(const vm::TranslateResult translated,
+                        TranslateForCoverage(formula, source));
+  Coverage coverage;
+  TargetJoin join(target, target_column);
+  for (size_t i = 0; i < translated.output_rows(); ++i) {
+    const size_t target_row = join.Take(translated.value(i));
+    if (target_row != TargetJoin::kNoRow) {
+      coverage.matches.push_back({translated.rows[i], target_row});
+    }
+  }
+  return coverage;
+}
+
 Coverage TranslationSearch::ComputeCoverage(const TranslationFormula& formula,
                                             const relational::Table& source,
                                             const relational::Table& target,
                                             size_t target_column) {
-  Coverage coverage;
-  if (!formula.IsComplete()) return coverage;
-  // Target value -> queue of unused rows holding it. The pinned column keeps
-  // the map's view keys valid for the whole matching pass below.
-  const relational::PinnedColumn target_values(target.Column(target_column));
-  std::unordered_map<std::string_view, std::vector<size_t>> by_value;
-  for (size_t row = target.num_rows(); row > 0; --row) {
-    std::string_view v = target_values.at(row - 1);
-    if (!v.empty()) by_value[v].push_back(row - 1);
-  }
-  for (size_t row = 0; row < source.num_rows(); ++row) {
-    auto produced = formula.Apply(source, row);
-    if (!produced.has_value() || produced->empty()) continue;
-    auto it = by_value.find(std::string_view(*produced));
-    if (it == by_value.end() || it->second.empty()) continue;
-    coverage.matches.push_back({row, it->second.back()});
-    it->second.pop_back();
-  }
-  return coverage;
+  Result<Coverage> coverage =
+      TryComputeCoverage(formula, source, target, target_column);
+  MCSM_CHECK_OK(coverage.status())
+      << " computing the coverage of " << formula.ToString(source.schema());
+  return std::move(coverage).value();
 }
 
 }  // namespace mcsm::core

@@ -317,8 +317,19 @@ class TranslationSearch {
   /// owned budget built from SearchOptions::budget.
   const RunBudget& budget() const { return *active_budget_; }
 
-  /// Applies a complete formula to every source row, greedily pairing each
-  /// produced value with an unused matching target row.
+  /// Translates every source row with the formula compiled for the VM and
+  /// pairs each non-empty produced value, in source-row order, with the
+  /// lowest unused target row holding it (TargetJoin). An incomplete or
+  /// empty formula covers nothing; a formula the VM refuses returns its
+  /// Status (TranslateForCoverage). Run() validates its branches through
+  /// this, so such a formula fails the search, never the process.
+  static Result<Coverage> TryComputeCoverage(const TranslationFormula& formula,
+                                             const relational::Table& source,
+                                             const relational::Table& target,
+                                             size_t target_column);
+
+  /// TryComputeCoverage for callers holding a formula the VM runs; a formula
+  /// it refuses aborts with the compiler's message.
   static Coverage ComputeCoverage(const TranslationFormula& formula,
                                   const relational::Table& source,
                                   const relational::Table& target,

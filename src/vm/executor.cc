@@ -130,6 +130,8 @@ Result<TranslateResult> Translate(const Program& program,
     // Inline path: one chunk is the result.
     Executor executor(program);
     TranslationChunk chunk;
+    chunk.rows.reserve(admitted);
+    chunk.offsets.reserve(admitted + 1);
     result.rows_processed =
         executor.ExecuteRange(source, 0, admitted, budget, &chunk);
     result.rows = std::move(chunk.rows);
@@ -147,8 +149,16 @@ Result<TranslateResult> Translate(const Program& program,
       Executor executor(program);
       const size_t begin = batch * batch_rows;
       const size_t end = std::min(begin + batch_rows, admitted);
+      // Each batch fills a local chunk and moves it into its slot when done.
+      // Neighbouring slots share cache lines and the pool hands out adjacent
+      // batches, so filling the slot in place would bounce a line between
+      // the workers on every covered row.
+      TranslationChunk chunk;
+      chunk.rows.reserve(end - begin);
+      chunk.offsets.reserve(end - begin + 1);
       processed[batch] =
-          executor.ExecuteRange(source, begin, end, budget, &chunks[batch]);
+          executor.ExecuteRange(source, begin, end, budget, &chunk);
+      chunks[batch] = std::move(chunk);
     });
     // Keep the contiguous processed prefix: batches after the first
     // incomplete one may have run (dynamic scheduling), but splicing them in
@@ -163,17 +173,31 @@ Result<TranslateResult> Translate(const Program& program,
         break;
       }
     }
-    result.offsets.push_back(0);
-    for (size_t batch = 0; batch < keep && batch < num_batches; ++batch) {
-      const TranslationChunk& chunk = chunks[batch];
-      MCSM_CHECK(result.bytes.size() + chunk.bytes.size() <= UINT32_MAX);
-      const auto base = static_cast<uint32_t>(result.bytes.size());
-      result.bytes += chunk.bytes;
-      for (size_t i = 0; i < chunk.size(); ++i) {
-        result.rows.push_back(chunk.rows[i]);
-        result.offsets.push_back(base + chunk.offsets[i + 1]);
-      }
+    // Merge: prefix-sum where each kept chunk lands, size the result once,
+    // then copy the chunks into place in parallel, rebasing their offsets.
+    std::vector<size_t> row_base(keep + 1, 0);
+    std::vector<size_t> byte_base(keep + 1, 0);
+    for (size_t batch = 0; batch < keep; ++batch) {
+      row_base[batch + 1] = row_base[batch] + chunks[batch].size();
+      byte_base[batch + 1] = byte_base[batch] + chunks[batch].bytes.size();
     }
+    MCSM_CHECK(byte_base[keep] <= UINT32_MAX);
+    result.rows.resize(row_base[keep]);
+    result.offsets.resize(row_base[keep] + 1);
+    result.offsets[0] = 0;
+    result.bytes.resize(byte_base[keep]);
+    pool.ParallelFor(keep, [&](size_t batch) {
+      const TranslationChunk& chunk = chunks[batch];
+      const auto base = static_cast<uint32_t>(byte_base[batch]);
+      std::copy(chunk.rows.begin(), chunk.rows.end(),
+                result.rows.data() + row_base[batch]);
+      uint32_t* offsets = result.offsets.data() + row_base[batch] + 1;
+      for (size_t i = 0; i < chunk.size(); ++i) {
+        offsets[i] = base + chunk.offsets[i + 1];
+      }
+      std::copy(chunk.bytes.begin(), chunk.bytes.end(),
+                result.bytes.data() + byte_base[batch]);
+    });
   }
   result.truncated = result.rows_processed < total_rows;
   result.budget_trip =

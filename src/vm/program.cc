@@ -84,17 +84,8 @@ void Program::AppendLiteral(std::string_view text) {
 
 Status Program::Validate() const {
   if (code_.empty()) return Status::InvalidArgument("vm: empty program");
-  if (code_.size() > kMaxInstructions) {
-    return Status::InvalidArgument("vm: too many instructions");
-  }
   if (num_registers_ > kMaxRegisters) {
     return Status::InvalidArgument("vm: register count exceeds limit");
-  }
-  if (min_columns_ > kMaxColumns) {
-    return Status::InvalidArgument("vm: column requirement exceeds limit");
-  }
-  if (literals_.size() > kMaxLiteralBytes) {
-    return Status::InvalidArgument("vm: literal pool exceeds limit");
   }
   uint64_t loaded = 0;  // bitmask over registers (kMaxRegisters <= 64)
   for (size_t i = 0; i < code_.size(); ++i) {
@@ -236,6 +227,9 @@ Result<Program> Program::Deserialize(std::string_view wire) {
     pos += kInstructionBytes;
   }
   program.literals_.assign(wire.substr(pos, literal_bytes));
+  if (program.min_columns_ > kMaxColumns) {
+    return Status::InvalidArgument("vm: column requirement exceeds limit");
+  }
   MCSM_RETURN_IF_ERROR(program.Validate());
   return program;
 }

@@ -108,9 +108,15 @@ class Program {
 
   bool operator==(const Program&) const = default;
 
-  /// Hard caps enforced by Validate() — generous for real formulas (a
-  /// formula references a handful of columns), tight enough that a hostile
-  /// wire program cannot make the executor allocate absurd scratch.
+  /// Hard caps, generous for real formulas (a formula references a handful
+  /// of columns). Validate() enforces kMaxRegisters on every program: the
+  /// executor's scratch is sized by it. Deserialize() also enforces the
+  /// others, so a hostile wire program cannot make the decoder size absurd
+  /// buffers. A program compiled against a real schema is bounded by that
+  /// schema and its formula instead, so it may read a column past
+  /// kMaxColumns or carry a literal longer than kMaxLiteralBytes, as
+  /// TranslationFormula::Apply can; such a program runs, but its wire form
+  /// does not decode.
   static constexpr uint32_t kMaxRegisters = 64;
   static constexpr uint32_t kMaxColumns = 4096;
   static constexpr uint32_t kMaxInstructions = 1 << 16;

@@ -26,6 +26,7 @@
 #include "service/metrics.h"
 #include "service/registry.h"
 #include "service/service.h"
+#include "vm/program.h"
 
 namespace mcsm::service {
 namespace {
@@ -558,6 +559,55 @@ TEST_F(JobManagerTest, FailpointErrorLandsInFailed) {
   EXPECT_EQ(snapshot->state, JobState::kFailed);
   EXPECT_NE(snapshot->error.find("chaos"), std::string::npos);
   EXPECT_EQ(manager.failed(), 1u);
+}
+
+/// Distinct values of varying length for the one meaningful column of a
+/// wide source.
+std::string WideValue(size_t row) {
+  static const char* const kWords[] = {
+      "henry", "jo", "warner", "li", "anastasia", "poe", "mcallister"};
+  return std::string(kWords[row % 7]) + kWords[(row / 7) % 7] +
+         std::to_string(row);
+}
+
+TEST_F(JobManagerTest, SourceWiderThanTheVmWireCapsRunsToDone) {
+  // Discovery validates its formula by running it on the VM. A formula
+  // reading a column past the wire form's 4096-column cap still compiles,
+  // so discover and translate jobs over such a source end done, as on a
+  // narrow one, and never take the process down.
+  const size_t columns = vm::Program::kMaxColumns + 1;
+  std::vector<std::string> names;
+  for (size_t c = 0; c < columns; ++c) names.push_back("c" + std::to_string(c));
+  relational::Table source = relational::Table::WithTextColumns(names);
+  relational::Table target = relational::Table::WithTextColumns({"t"});
+  for (size_t row = 0; row < 60; ++row) {
+    std::vector<std::string> cells(columns, "z");
+    cells.back() = WideValue(row);
+    ASSERT_TRUE(target.AppendTextRow({cells.back()}).ok());
+    ASSERT_TRUE(source.AppendTextRow(cells).ok());
+  }
+  ASSERT_TRUE(registry_.RegisterCsv("wide", relational::WriteCsv(source)).ok());
+  ASSERT_TRUE(
+      registry_.RegisterCsv("wide_target", relational::WriteCsv(target)).ok());
+  JobManager manager(&registry_, &cache_, WorkerOptions(2, 8));
+  for (const JobMode mode : {JobMode::kDiscover, JobMode::kTranslate}) {
+    JobRequest request;
+    request.mode = mode;
+    request.source_table = "wide";
+    request.target_table = "wide_target";
+    request.target_column = 0;
+    auto id = manager.Submit(request);
+    ASSERT_TRUE(id.ok()) << id.status();
+    manager.Drain();
+    auto snapshot = manager.Get(id.value());
+    ASSERT_TRUE(snapshot.ok());
+    EXPECT_EQ(snapshot->state, JobState::kDone) << snapshot->error;
+    EXPECT_EQ(snapshot->formula, "c4096[1-n]");
+    EXPECT_EQ(snapshot->matched_rows, 60u);
+    if (mode == JobMode::kTranslate) {
+      EXPECT_EQ(snapshot->rows_translated, 60u);
+    }
+  }
 }
 
 TEST_F(JobManagerTest, CancelQueuedJob) {

@@ -6,9 +6,10 @@ foreach(test IN LISTS chaos_test_TESTS)
   set_tests_properties(${test} PROPERTIES LABELS "chaos;stress")
 endforeach()
 foreach(target search_test vm_test trace_test deadline_test service_test
-               column_store_test storage_differential_test)
+               column_store_test storage_differential_test
+               coverage_differential_test)
   foreach(test IN LISTS ${target}_TESTS)
-    if(test MATCHES "SearchParallel|VmBudget|BudgetPhase|TraceDeterminism|DegradedWorkCaps|StorageDifferential|PagerChaos")
+    if(test MATCHES "SearchParallel|VmBudget|VmMerge|BudgetPhase|TraceDeterminism|DegradedWorkCaps|StorageDifferential|PagerChaos|CoverageDifferential")
       set_tests_properties(${test} PROPERTIES LABELS stress)
     endif()
   endforeach()

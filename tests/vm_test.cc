@@ -108,13 +108,14 @@ void ExpectThreeWayAgreement(const TranslationFormula& formula,
     }
   }
 
-  // VM path, across thread counts and batch sizes (including a batch size
-  // that does not divide the row count, to exercise the ragged tail).
+  // VM path, across thread counts and batch sizes (one row per batch, a
+  // batch size that does not divide the row count, to exercise the ragged
+  // tail, and the default).
   auto program = CompileFormula(formula, source.schema());
   ASSERT_TRUE(program.ok()) << program.status();
   std::string first_bytes;
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    for (size_t batch : {size_t{7}, size_t{4096}}) {
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+    for (size_t batch : {size_t{1}, size_t{7}, size_t{4096}}) {
       TranslateOptions options;
       options.num_threads = threads;
       options.batch_rows = batch;
@@ -344,6 +345,30 @@ TEST(VmWireTest, InvalidProgramBehindValidWireRejectedByValidate) {
   EXPECT_TRUE(decoded.status().IsInvalidArgument()) << decoded.status();
 }
 
+TEST(VmWireTest, ProgramPastTheColumnCapRunsButDoesNotDecode) {
+  // The column cap bounds what Deserialize accepts from the wire. A program
+  // compiled against a real schema wider than the cap validates and runs,
+  // as Apply would, but its wire form is refused.
+  std::vector<std::string> names;
+  for (size_t c = 0; c <= Program::kMaxColumns; ++c) {
+    names.push_back("c" + std::to_string(c));
+  }
+  Table t = Table::WithTextColumns(names);
+  std::vector<std::string> row(names.size(), "");
+  row.back() = "value";
+  ASSERT_TRUE(t.AppendTextRow(row).ok());
+  auto program = CompileFormula(
+      TranslationFormula({Region::SpanToEnd(Program::kMaxColumns, 1)}),
+      t.schema());
+  ASSERT_TRUE(program.ok()) << program.status();
+  auto result = Translate(*program, t);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->output_rows(), 1u);
+  EXPECT_EQ(result->value(0), "value");
+  auto decoded = Program::Deserialize(program->Serialize());
+  EXPECT_TRUE(decoded.status().IsInvalidArgument()) << decoded.status();
+}
+
 TEST(VmWireTest, HexRoundTripAndRejects) {
   const std::string bytes = std::string("\x00\x7f\xff\x10", 4);
   EXPECT_EQ(BytesToHex(bytes), "007fff10");
@@ -415,6 +440,53 @@ TEST(VmExecutorTest, PartialEmitRollsBackWholeRow) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->output_rows(), 0u);
   EXPECT_TRUE(result->bytes.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Merge determinism: the parallel merge places every batch's chunk by prefix
+// sums, so batches that cover nothing must leave no trace in the output.
+
+/// Login-formula rows, covered exactly at `covered` (the others have an
+/// empty first name, which the first[1-1] span cannot fit).
+Table SparselyCoveredTable(size_t rows, const std::vector<size_t>& covered) {
+  Table t = Table::WithTextColumns({"first", "middle", "last"});
+  std::vector<bool> is_covered(rows, false);
+  for (const size_t row : covered) is_covered[row] = true;
+  for (size_t row = 0; row < rows; ++row) {
+    const std::string n = std::to_string(row);
+    EXPECT_TRUE(
+        t.AppendTextRow({is_covered[row] ? "f" + n : "", "m", "last" + n})
+            .ok());
+  }
+  return t;
+}
+
+TEST(VmMergeTest, BatchesThatCoverNoRowLeaveNoTrace) {
+  // At batch size 7 the 200-row layout has empty leading batches, runs of
+  // empty batches between covered ones, a fully covered batch (70-76) and
+  // a covered ragged tail; at batch size 1 most batches are empty.
+  const std::vector<std::vector<size_t>> layouts = {
+      {15, 16, 17, 49, 70, 71, 72, 73, 74, 75, 76, 199},
+      {},      // no row covered at all
+      {0},     // only the first row
+      {199},   // only the last row
+  };
+  for (const std::vector<size_t>& covered : layouts) {
+    SCOPED_TRACE(testing::Message() << covered.size() << " covered rows");
+    const Table t = SparselyCoveredTable(200, covered);
+    ExpectThreeWayAgreement(LoginFormula(), t);
+    auto program = CompileFormula(LoginFormula(), t.schema());
+    ASSERT_TRUE(program.ok());
+    TranslateOptions options;
+    options.num_threads = 4;
+    options.batch_rows = 7;
+    auto result = Translate(*program, t, options);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->rows, std::vector<uint32_t>(covered.begin(),
+                                                  covered.end()));
+    ASSERT_EQ(result->offsets.size(), covered.size() + 1);
+    EXPECT_EQ(result->offsets.back(), result->bytes.size());
+  }
 }
 
 // ---------------------------------------------------------------------------
