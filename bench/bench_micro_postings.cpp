@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the block-compressed posting
 // layer and the SIMD q-gram kernels behind it (DESIGN.md §11): building the
 // store from Zipfian lists, whole-list block decoding, galloping
-// intersection at several candidate densities, frozen-dictionary batched
+// intersection at several candidate densities and in the shape refinement
+// runs it, frozen-dictionary batched
 // lookups, and the rarest-first similarity retrieval they feed. Run with
 // MCSM_SIMD_LEVEL=scalar|sse42|avx2 to compare dispatch tiers on the same
 // binary.
@@ -101,6 +102,33 @@ void BM_PostingStoreIntersect(benchmark::State& state) {
 }
 BENCHMARK(BM_PostingStoreIntersect)->Arg(2)->Arg(16)->Arg(256);
 
+void BM_Intersect(benchmark::State& state) {
+  // Shaped like fullname refinement (200,000 rows): a call intersects about
+  // 4,000 ascending candidates, the rows of the literal's rarest gram, with
+  // a longer list. range(0) picks that list from the Zipfian set: gram g
+  // holds about 200,000 * 0.5 / (g + 1) rows, so 1, 9 and 39 give lists of
+  // about 50,000, 10,000 and 2,500 postings.
+  const size_t universe = 200000;
+  PostingStore store = PostingStore::Build(ZipfianLists(40, universe, 107));
+  const uint32_t gram = static_cast<uint32_t>(state.range(0));
+  Rng rng(108);
+  std::vector<uint32_t> seed_cand;
+  for (size_t row = 0; row < universe; ++row) {
+    if (rng.UniformInt(0, 49) == 0) {
+      seed_cand.push_back(static_cast<uint32_t>(row));
+    }
+  }
+  std::vector<uint32_t> cand;
+  for (auto _ : state) {
+    cand = seed_cand;
+    store.Intersect(gram, &cand);
+    benchmark::DoNotOptimize(cand.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(seed_cand.size()) *
+                          state.iterations());
+}
+BENCHMARK(BM_Intersect)->Arg(1)->Arg(9)->Arg(39);
+
 /// A synthetic name column for the end-to-end retrieval benchmarks.
 relational::Table NameTable(size_t rows, uint64_t seed) {
   Rng rng(seed);
@@ -157,8 +185,8 @@ void BM_RowsMatchingPattern(benchmark::State& state) {
   relational::ColumnIndex idx(t, 0, o);
   const auto pattern = relational::SearchPattern::FromLikeString("%wilson%");
   for (auto _ : state) {
-    auto rows = idx.RowsMatchingPattern(pattern);
-    benchmark::DoNotOptimize(rows.data());
+    auto matches = idx.RowsMatchingPattern(pattern);
+    benchmark::DoNotOptimize(matches.rows().data());
   }
 }
 BENCHMARK(BM_RowsMatchingPattern)->Range(4096, 65536);

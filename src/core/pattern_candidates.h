@@ -7,7 +7,7 @@
 
 #include "core/formula.h"
 #include "core/recipe.h"
-#include "relational/pattern.h"
+#include "relational/column_index.h"
 #include "relational/table.h"
 
 namespace mcsm::core {
@@ -33,11 +33,13 @@ struct PatternCandidates {
 /// \brief Selects the target instances that vote for one sampled source row
 /// (Algorithms 5-6; DESIGN.md §5 item 8).
 ///
-/// Captures the pattern's literal spans on each retrieved target row and
-/// drops the captures that do not pair 1:1 with `fixed_regions` or overrun
-/// the target (FixedCoverage::FromCapture's checks). When more than
-/// `max_rows` remain, Algorithm 6's "and contains q-grams of key" is realized
-/// as row-level record linkage: the kept captures are those sharing the most
+/// `matches` is the pattern retrieval: each matched row with its value and
+/// the pattern's literal spans in it, as verification captured them; nothing
+/// is read or matched again. The captures pair 1:1 with `fixed_regions` when
+/// the pattern has one literal per fixed region, and then all of them do;
+/// otherwise none does and nothing is kept. When more than `max_rows`
+/// captures pair, Algorithm 6's "and contains q-grams of key" is realized as
+/// row-level record linkage: the kept captures are those sharing the most
 /// q-grams between their free positions and the whole source row, summed
 /// over `keys` (the row's value in every candidate column), ties going to
 /// the earlier retrieved row. The truly linked target instance shares
@@ -45,12 +47,8 @@ struct PatternCandidates {
 /// coincidence ranks below it: the "primitive form of record linkage" of
 /// Section 2. Captures are ranked from their spans alone; FixedCoverage and
 /// the free mask are built only for the kept ones.
-///
-/// `rows` are read from `target_column` of `target` (ascending order reads
-/// each text segment once).
 PatternCandidates SelectPatternCandidates(
-    const relational::SearchPattern& pattern, const relational::Table& target,
-    size_t target_column, const std::vector<uint32_t>& rows,
+    const relational::PatternMatches& matches,
     const std::vector<Region>& fixed_regions,
     const std::vector<std::string_view>& keys, size_t q, size_t max_rows);
 

@@ -1,6 +1,8 @@
 #include "core/recipe.h"
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "common/check.h"
 #include "common/string_util.h"
@@ -124,13 +126,22 @@ Result<std::vector<TranslationFormula>> BuildFormulasFromRecipe(
     }
     out.emplace_back(std::move(regions));
   }
-  // Normalization can make variants collide (e.g. when a span has width 1 at
-  // the end); deduplicate.
-  std::sort(out.begin(), out.end(),
-            [](const TranslationFormula& a, const TranslationFormula& b) {
-              return a.ToString() < b.ToString();
-            });
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  if (out.size() < 2) return out;
+  // Variants are ordered by rendering, each rendered once. Normalization can
+  // make variants collide (e.g. when a span has width 1 at the end), and the
+  // order puts collisions side by side; deduplicate.
+  std::vector<std::pair<std::string, TranslationFormula>> rendered;
+  rendered.reserve(out.size());
+  for (TranslationFormula& f : out) {
+    std::string text = f.ToString();
+    rendered.emplace_back(std::move(text), std::move(f));
+  }
+  std::sort(rendered.begin(), rendered.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  out.clear();
+  for (auto& [text, f] : rendered) {
+    if (out.empty() || !(out.back() == f)) out.push_back(std::move(f));
+  }
   return out;
 }
 

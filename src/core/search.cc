@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "common/env.h"
 #include "common/failpoint.h"
@@ -195,12 +194,12 @@ Result<std::vector<uint32_t>> TranslationSearch::SimilarTargetRows(
 void TranslationSearch::VoteRecipe(std::string_view key,
                                    std::string_view target,
                                    const FixedCoverage& fixed,
+                                   const std::vector<bool>& free_mask,
                                    size_t key_column,
                                    const TraceCtx& trace_ctx,
                                    RunBudget* budget, VoteBatch* batch) {
-  std::vector<bool> mask = fixed.FreeMask();
   text::RecipeAlignment alignment = text::AlignLcsAnchored(
-      key, target, &mask, text::EditCosts{}, options_.lcs_tie_break);
+      key, target, &free_mask, text::EditCosts{}, options_.lcs_tie_break);
   ++batch->recipes_built;
   (void)budget->ChargePairs();
   if (trace_ != nullptr) {
@@ -231,37 +230,15 @@ void TranslationSearch::VoteRecipe(std::string_view key,
       static_cast<double>(std::max<size_t>(alignment.matched_chars(), 1));
   for (auto& f : formulas) {
     ++batch->formulas_considered;
-    // Keyed by (parent column, formula): Eq. 5 normalizes per parent column,
-    // so the same rendering produced by different candidate columns (the
-    // unchanged formula, typically) must not pool its votes.
-    std::string rendered = StrFormat("c%zu|", key_column) + f.ToString();
-    batch->votes.push_back(
-        {std::move(rendered), std::move(f), weight, key_column});
+    batch->votes.Add(key_column, std::move(f), weight);
   }
 }
 
-void TranslationSearch::MergeBatch(VoteBatch&& batch, VoteMap* votes,
-                                   std::vector<double>* column_totals,
-                                   double* total) {
+void TranslationSearch::MergeBatch(VoteBatch&& batch, VoteTally* votes) {
   stats_.recipes_built += batch.recipes_built;
   stats_.formulas_considered += batch.formulas_considered;
   stats_.pairs_scored += batch.pairs_scored;
-  for (PendingVote& vote : batch.votes) {
-    if (total != nullptr) *total += vote.weight;
-    if (column_totals != nullptr) (*column_totals)[vote.column] += vote.weight;
-    auto it = votes->find(vote.rendered);
-    if (it == votes->end()) {
-      FormulaVotes entry;
-      entry.formula = std::move(vote.formula);
-      entry.count = 1;
-      entry.weighted_count = vote.weight;
-      entry.column = vote.column;
-      votes->emplace(std::move(vote.rendered), std::move(entry));
-    } else {
-      ++it->second.count;
-      it->second.weighted_count += vote.weight;
-    }
-  }
+  votes->Merge(std::move(batch.votes));
 }
 
 Result<ColumnSelection> TranslationSearch::SelectStartColumn() {
@@ -331,8 +308,6 @@ Result<std::vector<TranslationFormula>> TranslationSearch::BuildInitialFormulas(
   WallTimer timer;
   TraceSpan span(trace_, "step2", "build_initial");
   MCSM_RETURN_IF_ERROR(TracedFailpoint(failpoint::kSamplerSample, "step2"));
-  VoteMap votes;
-  double total = 0;
 
   auto vote_pair = [&](std::string_view key, uint32_t target_row,
                        size_t sample_slot, RunBudget* budget,
@@ -362,7 +337,8 @@ Result<std::vector<TranslationFormula>> TranslationSearch::BuildInitialFormulas(
     TraceCtx ctx;
     ctx.phase = "step2";
     ctx.sample = static_cast<int64_t>(sample_slot);
-    VoteRecipe(key, target, fixed, column, ctx, budget, batch);
+    VoteRecipe(key, target, fixed, fixed.FreeMask(), column, ctx, budget,
+               batch);
   };
 
   // One slot per sampled key (or linked pair): retrieval + alignment run in
@@ -424,21 +400,19 @@ Result<std::vector<TranslationFormula>> TranslationSearch::BuildInitialFormulas(
     });
     batches.resize(phase.Commit());
   }
+  VoteTally tally;
   for (VoteBatch& batch : batches) {
     // First failing slot in sample order — the same error a serial run
     // returns.
     if (!batch.status.ok()) return batch.status;
-    MergeBatch(std::move(batch), &votes, nullptr, &total);
+    MergeBatch(std::move(batch), &tally);
   }
+  const std::vector<FormulaVotes> votes = std::move(tally).Ranked();
 
   // Rank candidates: most frequent first; ties break toward the formula
-  // explaining more characters, then lexicographically (determinism).
-  struct Ranked {
-    const FormulaVotes* entry;
-    const std::string* key;
-  };
-  std::vector<Ranked> ranked;
-  for (const auto& [rendered, entry] : votes) {
+  // explaining more characters, then by key (determinism).
+  std::vector<const FormulaVotes*> ranked;
+  for (const FormulaVotes& entry : votes) {
     bool informative = false;
     for (const auto& r : entry.formula.regions()) {
       if (r.kind == Region::Kind::kColumnSpan) {
@@ -448,34 +422,34 @@ Result<std::vector<TranslationFormula>> TranslationSearch::BuildInitialFormulas(
     }
     if (!informative) continue;  // span-free formula carries no information
     if (entry.count < options_.min_support) continue;
-    ranked.push_back({&entry, &rendered});
+    ranked.push_back(&entry);
   }
-  std::sort(ranked.begin(), ranked.end(), [](const Ranked& a, const Ranked& b) {
-    if (a.entry->weighted_count != b.entry->weighted_count) {
-      return a.entry->weighted_count > b.entry->weighted_count;
-    }
-    size_t ka = a.entry->formula.KnownFixedChars();
-    size_t kb = b.entry->formula.KnownFixedChars();
-    if (ka != kb) return ka > kb;
-    return *a.key < *b.key;
-  });
+  std::sort(ranked.begin(), ranked.end(),
+            [](const FormulaVotes* a, const FormulaVotes* b) {
+              if (a->weighted_count != b->weighted_count) {
+                return a->weighted_count > b->weighted_count;
+              }
+              size_t ka = a->formula.KnownFixedChars();
+              size_t kb = b->formula.KnownFixedChars();
+              if (ka != kb) return ka > kb;
+              return a->key < b->key;
+            });
   std::vector<TranslationFormula> out;
-  for (const Ranked& r : ranked) {
+  for (const FormulaVotes* r : ranked) {
     if (trace_ != nullptr) {
       // The surviving initial candidates in rank order (sample = rank).
       TraceEvent event;
       event.phase = "step2";
       event.name = "initial_candidate";
-      event.column = static_cast<int64_t>(r.entry->column);
+      event.column = static_cast<int64_t>(r->column);
       event.sample = static_cast<int64_t>(out.size());
-      event.value = r.entry->weighted_count;
-      event.detail = r.entry->formula.ToString(source_.schema());
-      event.metrics.emplace_back("support",
-                                 static_cast<double>(r.entry->count));
-      event.metrics.emplace_back("weighted_count", r.entry->weighted_count);
+      event.value = r->weighted_count;
+      event.detail = r->formula.ToString(source_.schema());
+      event.metrics.emplace_back("support", static_cast<double>(r->count));
+      event.metrics.emplace_back("weighted_count", r->weighted_count);
       trace_->Emit(std::move(event));
     }
-    out.push_back(r.entry->formula);
+    out.push_back(r->formula);
     if (out.size() >= k) break;
   }
   stats_.step2_seconds += timer.Seconds();
@@ -552,16 +526,15 @@ Result<bool> TranslationSearch::RefineOnce(TranslationFormula* formula,
       auto pattern = formula->BuildPattern(source_, row);
       if (!pattern.has_value() || pattern->IsUniversal()) return;
 
-      std::vector<uint32_t> target_rows;
+      relational::PatternMatches matches(*pattern);
       if (!linkage_.empty()) {
         if (row < linkage_.size() && linkage_[row] != kNoLink) {
-          uint32_t linked = static_cast<uint32_t>(linkage_[row]);
-          if (pattern->Matches(target_.TextAt(linked, target_column_))) {
-            target_rows.push_back(linked);
-          }
+          relational::TextCursor cursor(target_.Column(target_column_));
+          matches.Capture(*pattern, static_cast<uint32_t>(linkage_[row]),
+                          &cursor);
         }
       } else {
-        target_rows = target_index_->RowsMatchingPattern(*pattern, budget);
+        matches = target_index_->RowsMatchingPattern(*pattern, budget);
       }
 
       // The row's key in every candidate column, read once for the slot; the
@@ -574,9 +547,9 @@ Result<bool> TranslationSearch::RefineOnce(TranslationFormula* formula,
         key_cells.push_back(source_.TextAt(row, col));
         keys.push_back(key_cells.back().view());
       }
-      PatternCandidates selected = SelectPatternCandidates(
-          *pattern, target_, target_column_, target_rows, fixed_regions, keys,
-          options_.q, options_.max_pattern_rows);
+      PatternCandidates selected =
+          SelectPatternCandidates(matches, fixed_regions, keys, options_.q,
+                                  options_.max_pattern_rows);
       const std::vector<PatternCandidate>& candidates = selected.kept;
       if (trace_ != nullptr) {
         // Pattern retrieval outcome for this sampled row (Algorithm 5).
@@ -621,28 +594,31 @@ Result<bool> TranslationSearch::RefineOnce(TranslationFormula* formula,
           ctx.phase = "refine";
           ctx.iteration = iteration;
           ctx.sample = static_cast<int64_t>(slot);
-          VoteRecipe(key, candidates[ci].target, candidates[ci].fixed, col, ctx,
-                     budget, &batch);
+          VoteRecipe(key, candidates[ci].target, candidates[ci].fixed,
+                     candidates[ci].free_mask, col, ctx, budget, &batch);
         }
       }
     });
   });
   batches.resize(phase.Commit());
 
-  VoteMap votes;
+  VoteTally tally;
+  for (VoteBatch& batch : batches) MergeBatch(std::move(batch), &tally);
+  const std::vector<FormulaVotes> votes = std::move(tally).Ranked();
   std::vector<double> column_totals(source_.num_columns(), 0);
-  for (VoteBatch& batch : batches) {
-    MergeBatch(std::move(batch), &votes, &column_totals, nullptr);
+  for (const FormulaVotes& entry : votes) {
+    column_totals[entry.column] += entry.weighted_count;
   }
 
-  // Score candidates (Eq. 5) and adopt the best true refinement.
+  // Score candidates (Eq. 5) in key order and adopt the best true
+  // refinement; an exact tie goes to the earlier key.
   double global_total = 0;
   for (double ct : column_totals) global_total += ct;
   const FormulaVotes* best = nullptr;
   double best_score = 0.0;
-  for (const auto& [rendered, entry] : votes) {
+  for (const FormulaVotes& entry : votes) {
     ++candidates_considered;
-    if (entry.formula.ToString() == current_rendered) {
+    if (entry.rendering() == current_rendered) {
       continue;  // no new information
     }
     if (entry.count < options_.min_support) continue;

@@ -3,7 +3,6 @@
 
 #include <functional>
 #include <limits>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -16,6 +15,7 @@
 #include "core/column_scorer.h"
 #include "core/formula.h"
 #include "core/recipe.h"
+#include "core/vote_tally.h"
 #include "relational/column_index.h"
 #include "text/alignment.h"
 #include "relational/table.h"
@@ -344,22 +344,13 @@ class TranslationSearch {
   /// The worker pool, created on first use with SearchOptions::num_threads.
   ThreadPool& pool();
 
-  /// One vote produced inside a worker slot, buffered until the ordered
-  /// merge.
-  struct PendingVote {
-    std::string rendered;  ///< "c<col>|" + rendering — the vote-map key
-    TranslationFormula formula;
-    double weight;       ///< matched-chars weight of the producing recipe
-    size_t column = 0;   ///< parent column (Eq. 5 normalization)
-  };
-
-  /// Everything one worker slot produces: its votes, its share of the
-  /// instrumentation counters, and the first error it hit. The slots a
-  /// BudgetPhase admits are merged in index order, so vote counts,
-  /// floating-point accumulation order, and which error propagates are
+  /// Everything one worker slot produces: its votes, tallied by formula
+  /// structure, its share of the instrumentation counters, and the first
+  /// error it hit. The slots a BudgetPhase admits are merged in index order,
+  /// so vote counts, candidate order, and which error propagates are
   /// identical for every thread count.
   struct VoteBatch {
-    std::vector<PendingVote> votes;
+    VoteTally votes;
     size_t recipes_built = 0;
     size_t formulas_considered = 0;
     size_t pairs_scored = 0;
@@ -383,15 +374,6 @@ class TranslationSearch {
   /// injected faults show up in the decision log. OK when unarmed.
   Status TracedFailpoint(const char* site, const char* phase);
 
-  /// Collates formulas from one recipe into `counter`.
-  struct FormulaVotes {
-    TranslationFormula formula;
-    size_t count = 0;           ///< raw occurrences (min_support gate)
-    double weighted_count = 0;  ///< occurrences weighted by matched chars
-    size_t column = 0;
-  };
-  using VoteMap = std::map<std::string, FormulaVotes>;
-
   /// Deterministic trace coordinates of a vote site: the pipeline phase plus
   /// the iteration number and sample slot (never thread ids or timestamps),
   /// so recipe events from 1- and 8-thread runs are the same multiset.
@@ -401,18 +383,17 @@ class TranslationSearch {
     int64_t iteration = -1;
     int64_t sample = -1;
   };
-  /// Aligns one (key, target instance) pair and buffers the formulas its
+  /// Aligns one (key, target instance) pair on the target positions
+  /// `free_mask` leaves free (fixed.FreeMask()) and tallies the formulas its
   /// recipe yields into `batch`, charging `budget` (the slot's meter).
   void VoteRecipe(std::string_view key, std::string_view target,
-                  const FixedCoverage& fixed, size_t key_column,
+                  const FixedCoverage& fixed,
+                  const std::vector<bool>& free_mask, size_t key_column,
                   const TraceCtx& trace_ctx, RunBudget* budget,
                   VoteBatch* batch);
 
-  /// Folds one slot's votes and counters into the shared vote map and stats.
-  /// Per-vote weight goes to `*total` and/or `(*column_totals)[column]`
-  /// (pass nullptr for the one not in use).
-  void MergeBatch(VoteBatch&& batch, VoteMap* votes,
-                  std::vector<double>* column_totals, double* total);
+  /// Folds one slot's votes and counters into the shared tally and stats.
+  void MergeBatch(VoteBatch&& batch, VoteTally* votes);
 
   const relational::Table& source_;
   const relational::Table& target_;

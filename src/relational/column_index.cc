@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/check.h"
 #include "text/simd.h"
 
 namespace mcsm::relational {
@@ -168,9 +169,28 @@ size_t ColumnIndex::RowsWithAnyQGram(std::string_view key) const {
   return t_scratch.touched.size();
 }
 
-std::vector<uint32_t> ColumnIndex::RowsMatchingPattern(
-    const SearchPattern& pattern, RunBudget* budget) const {
-  std::vector<uint32_t> out;
+PatternMatches::PatternMatches(const SearchPattern& pattern)
+    : literals_(static_cast<size_t>(std::count_if(
+          pattern.segments().begin(), pattern.segments().end(),
+          [](const SearchPattern::Segment& s) { return !s.is_wildcard; }))) {}
+
+bool PatternMatches::Capture(const SearchPattern& pattern, uint32_t row,
+                             TextCursor* cursor) {
+  const std::string_view text = cursor->Get(row);
+  if (!pattern.CaptureLiterals(text, &spans_)) return false;
+  MCSM_DCHECK(spans_.size() == (rows_.size() + 1) * literals_);
+  if (pins_.empty() || pins_.back() != cursor->pin()) {
+    pins_.push_back(cursor->pin());
+  }
+  rows_.push_back(row);
+  texts_.push_back(text);
+  pin_of_.push_back(static_cast<uint32_t>(pins_.size() - 1));
+  return true;
+}
+
+PatternMatches ColumnIndex::RowsMatchingPattern(const SearchPattern& pattern,
+                                                RunBudget* budget) const {
+  PatternMatches out(pattern);
   const size_t q = options_.q;
   std::string_view literal = pattern.LongestLiteral();
   // Candidates arrive in ascending row order on every path below, so a
@@ -230,9 +250,7 @@ std::vector<uint32_t> ColumnIndex::RowsMatchingPattern(
          ++g) {
       store_.Intersect(gram_ids[g], &candidates, budget);
     }
-    for (uint32_t row : candidates) {
-      if (pattern.Matches(cell.Get(row))) out.push_back(row);
-    }
+    for (uint32_t row : candidates) out.Capture(pattern, row, &cell);
     return out;
   }
 
@@ -242,9 +260,7 @@ std::vector<uint32_t> ColumnIndex::RowsMatchingPattern(
     size_t end = std::min(start + kBlock, row_count());
     if (budget != nullptr && !budget->ChargePostings(end - start)) break;
     for (size_t row = start; row < end; ++row) {
-      if (pattern.Matches(cell.Get(row))) {
-        out.push_back(static_cast<uint32_t>(row));
-      }
+      out.Capture(pattern, static_cast<uint32_t>(row), &cell);
     }
   }
   return out;

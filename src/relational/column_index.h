@@ -17,6 +17,45 @@
 
 namespace mcsm::relational {
 
+/// \brief The rows of a column that match a SearchPattern, with what
+/// verification captured on each: the row's value and the spans of the
+/// pattern's literal segments in it (SearchPattern::CaptureLiterals).
+///
+/// The values are views into the column's segments; the object holds one pin
+/// per segment they lie in, so every view stays valid for its lifetime.
+class PatternMatches {
+ public:
+  explicit PatternMatches(const SearchPattern& pattern);
+
+  /// Captures `pattern` (the constructor's) on `row`, read through `cursor`
+  /// (a cursor over the matched column), and appends the row when it
+  /// matches. Returns whether it matched.
+  bool Capture(const SearchPattern& pattern, uint32_t row, TextCursor* cursor);
+
+  size_t size() const { return rows_.size(); }
+  /// Spans per row: one per literal segment of the pattern.
+  size_t literals() const { return literals_; }
+  /// The matched rows, in the order they were captured (ascending for
+  /// ColumnIndex::RowsMatchingPattern).
+  const std::vector<uint32_t>& rows() const { return rows_; }
+  uint32_t row(size_t i) const { return rows_[i]; }
+  std::string_view text(size_t i) const { return texts_[i]; }
+  /// Row i's literal spans, left to right: literals() of them.
+  const Span* spans(size_t i) const { return spans_.data() + i * literals_; }
+  /// Row i's value together with the pin that keeps it valid on its own.
+  TextView pinned_text(size_t i) const {
+    return TextView(texts_[i], pins_[pin_of_[i]]);
+  }
+
+ private:
+  size_t literals_;
+  std::vector<uint32_t> rows_;
+  std::vector<std::string_view> texts_;
+  std::vector<Span> spans_;
+  std::vector<uint32_t> pin_of_;  ///< texts_[i] lies in pins_[pin_of_[i]]
+  std::vector<PagePin> pins_;
+};
+
 /// \brief The q-gram index of the target column: q-gram document
 /// frequencies, the tf-idf model over them, and an optional row-level
 /// inverted index. It derives from ColumnSummary, so it also holds the
@@ -96,16 +135,17 @@ class ColumnIndex : public ColumnSummary {
   /// frequencies shared with this index).
   const text::TfIdfModel& tfidf() const { return *tfidf_; }
 
-  /// Rows whose value matches `pattern`, filtered through the inverted index
-  /// when possible, verified exactly: the posting lists of the literal's
-  /// rarest q-grams (up to four) are intersected, galloping over the
-  /// per-block skip entries, before verification. Falls back to a scan when no
-  /// usable literal exists or postings were not built. `budget`, when given,
-  /// is charged per row/posting examined; on exhaustion the scan stops and
-  /// the rows found so far are returned (anytime semantics — the caller
-  /// reports truncation).
-  std::vector<uint32_t> RowsMatchingPattern(const SearchPattern& pattern,
-                                            RunBudget* budget = nullptr) const;
+  /// Rows whose value matches `pattern`, in ascending order, filtered
+  /// through the inverted index when possible and verified exactly by
+  /// capturing the pattern's literal spans, which the result keeps with each
+  /// row's value: the posting lists of the literal's rarest q-grams (up to
+  /// four) are intersected, galloping over the per-block skip entries, before
+  /// verification. Falls back to a scan when no usable literal exists or
+  /// postings were not built. `budget`, when given, is charged per
+  /// row/posting examined; on exhaustion the scan stops and the rows found so
+  /// far are returned (anytime semantics — the caller reports truncation).
+  PatternMatches RowsMatchingPattern(const SearchPattern& pattern,
+                                     RunBudget* budget = nullptr) const;
 
   /// A row id together with its tf-idf similarity score against a key.
   struct ScoredRow {

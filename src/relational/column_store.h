@@ -240,6 +240,12 @@ class TextCursor {
 
   std::string_view Get(size_t row);
 
+  /// The pin of the last sealed segment a Get() loaded (null before the
+  /// first, or when that load failed). Holding it keeps the views Get()
+  /// returned from that segment valid after the cursor moves on; views of
+  /// the unsealed tail need no pin.
+  const PagePin& pin() const { return pin_; }
+
  private:
   ColumnView view_;
   uint32_t cached_seg_ = UINT32_MAX;

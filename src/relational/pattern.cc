@@ -77,10 +77,10 @@ bool SearchPattern::IsUniversal() const {
 }
 
 bool SearchPattern::Matches(std::string_view text) const {
-  std::vector<Span> spans;
-  return TryMatch(text, 0, 0, &spans);
+  return TryMatch<false>(text, 0, 0, nullptr);
 }
 
+template <bool kRecord>
 bool SearchPattern::TryMatch(std::string_view text, size_t pos, size_t seg,
                              std::vector<Span>* spans) const {
   if (seg == segments_.size()) return pos == text.size();
@@ -90,15 +90,15 @@ bool SearchPattern::TryMatch(std::string_view text, size_t pos, size_t seg,
     // SafeSubstr clamps, so a literal overhanging the end compares unequal
     // instead of reading past it.
     if (SafeSubstr(text, pos, lit.size()) != lit) return false;
-    spans->push_back({pos, lit.size()});
-    if (TryMatch(text, pos + lit.size(), seg + 1, spans)) return true;
-    spans->pop_back();
+    if constexpr (kRecord) spans->push_back({pos, lit.size()});
+    if (TryMatch<kRecord>(text, pos + lit.size(), seg + 1, spans)) return true;
+    if constexpr (kRecord) spans->pop_back();
     return false;
   }
   // Wildcard with an exact width: consume exactly that many characters.
   if (s.exact_len > 0) {
     if (pos + s.exact_len > text.size()) return false;
-    return TryMatch(text, pos + s.exact_len, seg + 1, spans);
+    return TryMatch<kRecord>(text, pos + s.exact_len, seg + 1, spans);
   }
   // Free wildcard. A min_one wildcard must consume at least one character.
   if (s.min_one && pos >= text.size()) return false;
@@ -113,9 +113,11 @@ bool SearchPattern::TryMatch(std::string_view text, size_t pos, size_t seg,
   while (true) {
     size_t found = text.find(lit, search_from);
     if (found == std::string_view::npos) return false;
-    spans->push_back({found, lit.size()});
-    if (TryMatch(text, found + lit.size(), seg + 2, spans)) return true;
-    spans->pop_back();
+    if constexpr (kRecord) spans->push_back({found, lit.size()});
+    if (TryMatch<kRecord>(text, found + lit.size(), seg + 2, spans)) {
+      return true;
+    }
+    if constexpr (kRecord) spans->pop_back();
     search_from = found + 1;
   }
 }
@@ -130,7 +132,7 @@ std::optional<std::vector<Span>> SearchPattern::CaptureLiterals(
 bool SearchPattern::CaptureLiterals(std::string_view text,
                                     std::vector<Span>* spans) const {
   // TryMatch pops what it pushed on every failed branch.
-  return TryMatch(text, 0, 0, spans);
+  return TryMatch<true>(text, 0, 0, spans);
 }
 
 std::optional<std::vector<bool>> SearchPattern::FreeMask(

@@ -51,7 +51,8 @@ class SearchPattern {
   /// True when the pattern is a single '%' (matches everything).
   bool IsUniversal() const;
 
-  /// Whether `text` matches the pattern.
+  /// Whether `text` matches the pattern. Allocates nothing: it runs the
+  /// capture's search without recording spans.
   bool Matches(std::string_view text) const;
 
   /// Returns the spans of the literal segments (in order) under the
@@ -77,6 +78,9 @@ class SearchPattern {
   std::string ToLikeString() const;
 
  private:
+  /// The leftmost-binding search behind Matches and CaptureLiterals; spans
+  /// are recorded (and popped on a failed branch) only when kRecord.
+  template <bool kRecord>
   bool TryMatch(std::string_view text, size_t pos, size_t seg,
                 std::vector<Span>* spans) const;
 

@@ -140,19 +140,13 @@ void PostingStore::Intersect(uint32_t gram_id,
                              std::vector<uint32_t>* candidates,
                              RunBudget* budget) const {
   auto [cur, end] = Blocks(gram_id);
-  if (cur == end) {
-    candidates->clear();
-    return;
-  }
-  // Survivors accumulate here; thread_local keeps repeated intersections on
-  // the retrieval hot path allocation-free.
-  thread_local std::vector<uint32_t> kept;
-  kept.clear();
+  std::vector<uint32_t>& cand = *candidates;
+  // Survivors are compacted in place: the write cursor never passes the read
+  // cursor.
+  size_t kept = 0;
+  size_t i = 0;
   uint32_t rows[kPostingBlockSize];
-  const PostingBlockMeta* decoded = nullptr;
-  size_t decoded_n = 0;
-  const std::vector<uint32_t>& cand = *candidates;
-  for (size_t i = 0; i < cand.size(); ++i) {
+  while (i < cand.size() && cur != end) {
     const uint32_t c = cand[i];
     if (cur->last_row < c) {
       // Gallop over the skip entries: exponential probe, then binary search
@@ -172,30 +166,38 @@ void PostingStore::Intersect(uint32_t gram_id,
           [](const PostingBlockMeta& m, uint32_t row) {
             return m.last_row < row;
           });
-      if (cur == end) break;  // every later candidate exceeds the list
+      continue;  // cur == end: every later candidate exceeds the list
     }
-    if (c < cur->first_row) continue;  // falls in a gap between blocks
-    if (decoded != cur) {
-      if (budget != nullptr && !budget->ChargePostings(cur->count)) {
-        // Out of budget: pass the tail through unfiltered. Callers verify
-        // candidates exactly, so this trades verification work for
-        // correctness-preserving early exit.
-        kept.insert(kept.end(), cand.begin() + static_cast<ptrdiff_t>(i),
-                    cand.end());
-        break;
-      }
-      if (!DecodePostingBlock(*cur, data_.data(), data_.size(), rows,
-                              nullptr)) {
-        kept.insert(kept.end(), cand.begin() + static_cast<ptrdiff_t>(i),
-                    cand.end());
-        break;
-      }
-      decoded = cur;
-      decoded_n = cur->count;
+    if (c < cur->first_row) {  // falls in a gap between blocks
+      ++i;
+      continue;
     }
-    if (std::binary_search(rows, rows + decoded_n, c)) kept.push_back(c);
+    // At least one candidate lies inside this block: decode it once and
+    // merge it with every candidate up to its last row.
+    if ((budget != nullptr && !budget->ChargePostings(cur->count)) ||
+        !DecodePostingBlock(*cur, data_.data(), data_.size(), rows,
+                            nullptr)) {
+      // Out of budget (or a malformed block): pass the tail through
+      // unfiltered. Callers verify candidates exactly, so this trades
+      // verification work for correctness-preserving early exit.
+      kept = static_cast<size_t>(
+          std::copy(cand.begin() + static_cast<ptrdiff_t>(i), cand.end(),
+                    cand.begin() + static_cast<ptrdiff_t>(kept)) -
+          cand.begin());
+      i = cand.size();
+      break;
+    }
+    // rows[count - 1] == last_row bounds the scan for every candidate the
+    // loop admits, so `r` never runs off the block.
+    const uint32_t last = cur->last_row;
+    MCSM_DCHECK(rows[cur->count - 1] == last);
+    size_t r = 0;
+    for (; i < cand.size() && cand[i] <= last; ++i) {
+      while (rows[r] < cand[i]) ++r;
+      if (rows[r] == cand[i]) cand[kept++] = cand[i];
+    }
   }
-  candidates->assign(kept.begin(), kept.end());
+  cand.resize(kept);
 }
 
 size_t PostingStore::ApproxMemoryBytes() const {

@@ -95,10 +95,12 @@ class PostingStore {
   /// Keeps only the candidates present in `gram_id`'s list. `candidates`
   /// must be ascending (it stays ascending). Blocks whose skip entry rules
   /// them out are never decoded; runs of candidates between blocks gallop
-  /// over the skip entries (exponential + binary search). `budget`, when
-  /// given, is charged per decoded block; on exhaustion the remaining
-  /// candidates are kept unfiltered — callers verify candidates exactly, so
-  /// an unfiltered tail costs verification work, never correctness.
+  /// over the skip entries (exponential + binary search). A block holding at
+  /// least one candidate is decoded once and merged with all of its
+  /// candidates by two pointers. `budget`, when given, is charged per decoded
+  /// block; on exhaustion the candidates from that block on are kept
+  /// unfiltered — callers verify candidates exactly, so an unfiltered tail
+  /// costs verification work, never correctness.
   void Intersect(uint32_t gram_id, std::vector<uint32_t>* candidates,
                  RunBudget* budget = nullptr) const;
 

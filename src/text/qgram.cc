@@ -275,22 +275,24 @@ uint32_t QGramDictionary::Add(std::string_view gram) {
   const auto id = static_cast<uint32_t>(grams_.size());
   grams_.emplace_back(gram);
   ids_.emplace(grams_.back(), id);
-  if (gram.size() != q_) foreign_length_ = true;
   return id;
 }
 
 uint32_t QGramDictionary::Intern(std::string_view gram) {
+  // Every gram packs into q_ bytes: Freeze() and Find() rely on it.
+  MCSM_CHECK(gram.size() == q_)
+      << "interning a " << gram.size() << "-byte gram into a q=" << q_
+      << " dictionary";
   auto it = ids_.find(gram);
   if (it != ids_.end()) return it->second;
   const uint32_t id = Add(gram);
-  if (!direct_.empty() && gram.size() == q_) {
+  if (!direct_.empty()) {
     // q <= 2: the direct-address table takes the gram in place, so a frozen
     // dictionary stays frozen.
     direct_[Pack32(gram)] = id;
   } else if (frozen_) {
-    // The open-addressing table (or, for a foreign-length gram, the frozen
-    // length check) describes a stale gram set from here on; drop it.
-    // Callers re-Freeze() after their last Intern.
+    // The open-addressing table describes a stale gram set from here on;
+    // drop it. Callers re-Freeze() after their last Intern.
     frozen_ = false;
     oa_keys_.clear();
     oa_ids_.clear();
@@ -321,10 +323,8 @@ void QGramDictionary::Freeze() {
   frozen_ = false;
   oa_keys_.clear();
   oa_ids_.clear();
-  // Every interned gram must pack into q_ bytes; Intern() accepts arbitrary
-  // strings, so a foreign-length gram (possible via the precomputed-df
-  // TfIdfModel constructor) keeps the dictionary on the hash-map path.
-  if (q_ == 0 || q_ > 4 || foreign_length_) return;
+  // Every interned gram packs into q_ bytes (Intern checks its length).
+  if (q_ == 0 || q_ > 4) return;
   // q <= 2: the direct-address table is already current.
   if (q_ > 2) {
     // Load factor <= 0.5 keeps linear-probe chains short and guarantees an
@@ -354,8 +354,8 @@ size_t QGramDictionary::ApproxFastLookupBytes() const {
 
 uint32_t QGramDictionary::Find(std::string_view gram) const {
   if (frozen_) {
-    // Freeze() verified every interned gram has length q_, so any other
-    // length cannot be present.
+    // Every interned gram has length q_, so any other length cannot be
+    // present.
     if (gram.size() != q_) return kNoGram;
     return FindPacked(Pack32(gram));
   }

@@ -117,9 +117,9 @@ class QGramDictionary {
   /// Number of distinct grams interned so far (ids are 0..size()-1).
   size_t size() const { return grams_.size(); }
 
-  /// Id of `gram`, interning it if new. A new gram invalidates a prior
-  /// Freeze(), except a q-byte gram for q <= 2: the direct-address table
-  /// takes it in place.
+  /// Id of `gram`, interning it if new. `gram` must be q bytes long
+  /// (checked). A new gram invalidates a prior Freeze(), except for q <= 2:
+  /// the direct-address table takes it in place.
   uint32_t Intern(std::string_view gram);
 
   /// Id of `gram`, or kNoGram when it was never interned. No allocation.
@@ -140,9 +140,8 @@ class QGramDictionary {
   /// Switches Find/FindIds to the flat fast-lookup tables for the current
   /// gram set, building the open-addressing table for q == 3..4. Call once
   /// after the last Intern (ColumnIndex / TfIdfModel construction does).
-  /// No-op for q == 0 or q > 4, and when any interned gram's length differs
-  /// from q (defensive: such grams cannot be packed) — lookups then stay on
-  /// the hash map, with identical results.
+  /// No-op for q == 0 or q > 4: lookups then stay on the hash map, with
+  /// identical results.
   void Freeze();
 
   /// True when Find/FindIds run on the flat tables (after Freeze, until the
@@ -180,10 +179,6 @@ class QGramDictionary {
   std::vector<std::string> grams_;
   std::unordered_map<std::string, uint32_t, TransparentHash, std::equal_to<>>
       ids_;
-  /// True once a gram whose length differs from q_ was interned (only the
-  /// precomputed-df TfIdfModel constructor can): Freeze() is then a no-op.
-  bool foreign_length_ = false;
-
   /// Fast-lookup state:
   /// q <= 2 — direct_[packed gram] = id (256 or 65536 entries), current at
   /// all times (kNoGram marks grams not interned);

@@ -24,22 +24,6 @@ TfIdfModel::TfIdfModel(const std::vector<std::string>& corpus, size_t q)
   ComputeIdf();
 }
 
-TfIdfModel::TfIdfModel(
-    const std::unordered_map<std::string, int>& document_frequency,
-    size_t corpus_size, size_t q)
-    : q_(q), corpus_size_(corpus_size) {
-  auto dict = std::make_shared<QGramDictionary>(q);
-  df_.reserve(document_frequency.size());
-  for (const auto& [gram, df] : document_frequency) {
-    uint32_t id = dict->Intern(gram);
-    if (df_.size() <= id) df_.resize(id + 1, 0);
-    df_[id] = df;
-  }
-  dict->Freeze();
-  dict_ = std::move(dict);
-  ComputeIdf();
-}
-
 TfIdfModel::TfIdfModel(std::shared_ptr<const QGramDictionary> dictionary,
                        std::vector<int> df_by_id, size_t corpus_size)
     : q_(dictionary->q()),

@@ -30,10 +30,6 @@ class TfIdfModel {
   /// Builds document-frequency statistics from `corpus` using `q`-grams.
   TfIdfModel(const std::vector<std::string>& corpus, size_t q);
 
-  /// Builds from precomputed document frequencies.
-  TfIdfModel(const std::unordered_map<std::string, int>& document_frequency,
-             size_t corpus_size, size_t q);
-
   /// Builds over an existing dictionary: `df_by_id[id]` is the document
   /// frequency of `dictionary->gram(id)`. The dictionary is shared, not
   /// copied (the column index path).

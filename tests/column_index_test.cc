@@ -96,14 +96,26 @@ TEST(ColumnIndexTest, RowsMatchingPatternAgreesWithScan) {
   ColumnIndex scanned(t, 0, {});  // no postings: falls back to scanning
   for (const char* like : {"%ab", "ab%", "%abc%", "a%c", "%zz%"}) {
     auto pattern = SearchPattern::FromLikeString(like);
-    auto a = indexed.RowsMatchingPattern(pattern);
-    auto b = scanned.RowsMatchingPattern(pattern);
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    EXPECT_EQ(a, b) << like;
-    // Cross-check against direct evaluation.
-    for (uint32_t row : a) {
-      EXPECT_TRUE(pattern.Matches(values[row]));
+    const PatternMatches a = indexed.RowsMatchingPattern(pattern);
+    const PatternMatches b = scanned.RowsMatchingPattern(pattern);
+    EXPECT_TRUE(std::is_sorted(a.rows().begin(), a.rows().end())) << like;
+    EXPECT_EQ(a.rows(), b.rows()) << like;
+    // Cross-check against direct evaluation: each match carries its row's
+    // value and the capture of the pattern on it.
+    for (const PatternMatches* m : {&a, &b}) {
+      ASSERT_EQ(m->literals(),
+                static_cast<size_t>(std::count_if(
+                    pattern.segments().begin(), pattern.segments().end(),
+                    [](const auto& seg) { return !seg.is_wildcard; })));
+      for (size_t i = 0; i < m->size(); ++i) {
+        const std::string& value = values[m->row(i)];
+        EXPECT_EQ(m->text(i), value);
+        EXPECT_EQ(m->pinned_text(i).view(), value);
+        const auto spans = pattern.CaptureLiterals(value);
+        ASSERT_TRUE(spans.has_value()) << value;
+        EXPECT_EQ(std::vector<Span>(m->spans(i), m->spans(i) + m->literals()),
+                  *spans);
+      }
     }
   }
 }

@@ -150,6 +150,17 @@ RandomPattern MakePattern(Rng& rng, std::string_view alphabet) {
   return p;
 }
 
+/// The retrieval's hand-off for `rows` of column 0: each matching row with
+/// its value and the pattern's capture on it.
+relational::PatternMatches Retrieved(const relational::SearchPattern& pattern,
+                                     const relational::Table& table,
+                                     const std::vector<uint32_t>& rows) {
+  relational::PatternMatches matches(pattern);
+  relational::TextCursor cursor(table.Column(0));
+  for (uint32_t row : rows) matches.Capture(pattern, row, &cursor);
+  return matches;
+}
+
 struct Tally {
   size_t trials = 0;
   size_t below_cap = 0;
@@ -167,7 +178,7 @@ void CheckOne(const relational::SearchPattern& pattern,
   RefSelection want = ReferenceSelect(pattern, table, 0, rows, fixed_regions,
                                       keys, q, max_rows);
   PatternCandidates got = SelectPatternCandidates(
-      pattern, table, 0, rows, fixed_regions, keys, q, max_rows);
+      Retrieved(pattern, table, rows), fixed_regions, keys, q, max_rows);
   ++tally->trials;
   if (want.captured < max_rows) ++tally->below_cap;
   if (want.captured == max_rows) ++tally->at_cap;
@@ -270,14 +281,14 @@ TEST(CandidateSelectionTest, KeepsTheRowSharingMostWithTheWholeRow) {
   const std::vector<Region> fixed = {Region::Span(0, 1, 1)};
   const std::vector<std::string_view> keys = {"john", "smith"};
 
-  PatternCandidates none =
-      SelectPatternCandidates(pattern, table, 0, {}, fixed, keys, 2, 32);
+  PatternCandidates none = SelectPatternCandidates(
+      Retrieved(pattern, table, {}), fixed, keys, 2, 32);
   EXPECT_EQ(none.captured, 0u);
   EXPECT_TRUE(none.kept.empty());
 
   // Over the cap of 1, the row sharing "smith"'s grams wins.
-  PatternCandidates one =
-      SelectPatternCandidates(pattern, table, 0, {0, 1}, fixed, keys, 2, 1);
+  PatternCandidates one = SelectPatternCandidates(
+      Retrieved(pattern, table, {0, 1}), fixed, keys, 2, 1);
   EXPECT_EQ(one.captured, 2u);
   ASSERT_EQ(one.kept.size(), 1u);
   EXPECT_EQ(one.kept[0].row, 0u);

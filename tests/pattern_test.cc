@@ -28,22 +28,23 @@ TEST_P(LikeMatchCases, Matches) {
       << "'" << c.text << "' LIKE '" << c.pattern << "'";
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Cases, LikeMatchCases,
-    ::testing::Values(
-        LikeCase{"abc", "abc", true}, LikeCase{"abc", "a%", true},
-        LikeCase{"abc", "%c", true}, LikeCase{"abc", "%b%", true},
-        LikeCase{"abc", "%", true}, LikeCase{"", "%", true},
-        LikeCase{"abc", "a_c", true}, LikeCase{"abc", "a_b", false},
-        LikeCase{"abc", "abcd", false}, LikeCase{"abc", "ab", false},
-        LikeCase{"", "", true}, LikeCase{"a", "", false},
-        LikeCase{"banana", "%ana", true}, LikeCase{"banana", "b%na", true},
-        LikeCase{"banana", "%an%an%", true},
-        LikeCase{"banana", "%ann%", false},
-        LikeCase{"aab", "%ab", true},  // backtracking over the first 'a'
-        LikeCase{"abc", "___", true}, LikeCase{"abc", "____", false},
-        LikeCase{"xkerry", "%kerry", true},
-        LikeCase{"kerry", "%kerry", true}));
+const LikeCase kLikeCases[] = {
+    {"abc", "abc", true},       {"abc", "a%", true},
+    {"abc", "%c", true},        {"abc", "%b%", true},
+    {"abc", "%", true},         {"", "%", true},
+    {"abc", "a_c", true},       {"abc", "a_b", false},
+    {"abc", "abcd", false},     {"abc", "ab", false},
+    {"", "", true},             {"a", "", false},
+    {"banana", "%ana", true},   {"banana", "b%na", true},
+    {"banana", "%an%an%", true},
+    {"banana", "%ann%", false},
+    {"aab", "%ab", true},  // backtracking over the first 'a'
+    {"abc", "___", true},       {"abc", "____", false},
+    {"xkerry", "%kerry", true},
+    {"kerry", "%kerry", true}};
+
+INSTANTIATE_TEST_SUITE_P(Cases, LikeMatchCases,
+                         ::testing::ValuesIn(kLikeCases));
 
 TEST(SearchPatternTest, FromLikeStringRoundTrip) {
   auto p = SearchPattern::FromLikeString("%kerry");
@@ -171,6 +172,46 @@ TEST(SearchPatternTest, MatchAgreesWithLikeMatch) {
     EXPECT_EQ(p.Matches(text), LikeMatch(text, like))
         << "'" << text << "' vs '" << like << "'";
   }
+}
+
+// Matches runs the capture's search without recording spans; it must agree
+// with a capture succeeding on every input.
+TEST(SearchPatternTest, MatchesEqualsCaptureSucceeding) {
+  for (const LikeCase& c : kLikeCases) {
+    // '_' is an ordinary character to SearchPattern.
+    const SearchPattern p = SearchPattern::FromLikeString(c.pattern);
+    EXPECT_EQ(p.Matches(c.text), p.CaptureLiterals(c.text).has_value())
+        << "'" << c.text << "' vs '" << c.pattern << "'";
+  }
+  Rng rng(72);
+  size_t matched = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    // Random segments, wildcards sized or requiring a character as
+    // BuildPattern makes them.
+    std::vector<SearchPattern::Segment> segments;
+    const size_t len = rng.Uniform(6);
+    for (size_t i = 0; i < len; ++i) {
+      if (rng.Uniform(2) == 0) {
+        SearchPattern::Segment seg{true, false, 0, ""};
+        const size_t kind = rng.Uniform(3);
+        if (kind == 1) seg.min_one = true;
+        if (kind == 2) seg.exact_len = 1 + rng.Uniform(3);
+        segments.push_back(seg);
+      } else {
+        segments.push_back(
+            {false, false, 0, rng.RandomString(1 + rng.Uniform(2), "ab")});
+      }
+    }
+    const SearchPattern p(std::move(segments));
+    const std::string text = rng.RandomString(rng.Uniform(9), "ab");
+    const bool matches = p.Matches(text);
+    EXPECT_EQ(matches, p.CaptureLiterals(text).has_value())
+        << "'" << text << "' vs '" << p.ToLikeString() << "'";
+    matched += matches ? 1 : 0;
+  }
+  // Both outcomes were exercised.
+  EXPECT_GT(matched, 200u);
+  EXPECT_LT(matched, 1800u);
 }
 
 }  // namespace

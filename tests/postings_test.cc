@@ -236,6 +236,144 @@ TEST(PostingStoreTest, IntersectBudgetPassesTailUnfiltered) {
   EXPECT_EQ(cand, (std::vector<uint32_t>{200, 301, 310}));
 }
 
+/// Intersect as it was before blocks were merged with their candidates: the
+/// same gallop, then one binary search of the decoded block per candidate.
+/// The merge must keep the same survivors and charge the same blocks, so
+/// this copy is the model the property test holds it to. `charged`, when
+/// given, receives the count of every block it charged, in order.
+void PerCandidateIntersect(const PostingStore& store, uint32_t gram_id,
+                           std::vector<uint32_t>* candidates,
+                           RunBudget* budget,
+                           std::vector<uint32_t>* charged = nullptr) {
+  auto [cur, end] = store.Blocks(gram_id);
+  if (cur == end) {
+    candidates->clear();
+    return;
+  }
+  std::vector<uint32_t> kept;
+  uint32_t rows[kPostingBlockSize];
+  const PostingBlockMeta* decoded = nullptr;
+  size_t decoded_n = 0;
+  const std::vector<uint32_t>& cand = *candidates;
+  for (size_t i = 0; i < cand.size(); ++i) {
+    const uint32_t c = cand[i];
+    if (cur->last_row < c) {
+      size_t step = 1;
+      const PostingBlockMeta* probe = cur;
+      while (static_cast<size_t>(end - probe) > step &&
+             (probe + step)->last_row < c) {
+        probe += step;
+        step *= 2;
+      }
+      const PostingBlockMeta* hi =
+          static_cast<size_t>(end - probe) > step ? probe + step + 1 : end;
+      cur = std::lower_bound(probe + 1, hi, c,
+                             [](const PostingBlockMeta& m, uint32_t row) {
+                               return m.last_row < row;
+                             });
+      if (cur == end) break;
+    }
+    if (c < cur->first_row) continue;
+    if (decoded != cur) {
+      if (charged != nullptr) charged->push_back(cur->count);
+      if (budget != nullptr && !budget->ChargePostings(cur->count)) {
+        kept.insert(kept.end(), cand.begin() + static_cast<ptrdiff_t>(i),
+                    cand.end());
+        break;
+      }
+      if (!DecodePostingBlock(*cur, store.data(), store.data_size(), rows,
+                              nullptr)) {
+        kept.insert(kept.end(), cand.begin() + static_cast<ptrdiff_t>(i),
+                    cand.end());
+        break;
+      }
+      decoded = cur;
+      decoded_n = cur->count;
+    }
+    if (std::binary_search(rows, rows + decoded_n, c)) kept.push_back(c);
+  }
+  *candidates = kept;
+}
+
+TEST(PostingStoreTest, IntersectMatchesPerCandidateModel) {
+  Rng rng(2025);
+  size_t cases = 0;
+  size_t gap_candidates = 0;
+  size_t budget_cuts = 0;
+  std::vector<size_t> sizes = {1, 2, 127, 128, 129, 255, 256, 257, 1000};
+  for (int extra = 0; extra < 24; ++extra) {
+    sizes.push_back(static_cast<size_t>(rng.UniformInt(1, 1000)));
+  }
+  for (size_t n : sizes) {
+    for (uint32_t delta_span : {1u, 3u, 40u, 300u}) {
+      const std::vector<Posting> list =
+          MakeList(n, delta_span, /*tf_span=*/2, /*seed=*/n * 31 + delta_span);
+      std::vector<std::vector<Posting>> lists;
+      lists.push_back(list);
+      const PostingStore store = PostingStore::Build(std::move(lists));
+      auto [blocks, blocks_end] = store.Blocks(0);
+      const uint32_t universe = list.back().row + 50;
+      for (double density : {0.001, 0.01, 0.1, 0.5, 1.0}) {
+        std::vector<uint32_t> cand;
+        for (uint32_t r = 0; r <= universe; ++r) {
+          if (density >= 1.0 || rng.UniformDouble() < density) {
+            cand.push_back(r);
+          }
+        }
+        // Candidates in the gaps between blocks: their skip entries rule
+        // them out without a decode.
+        for (const PostingBlockMeta* b = blocks; b + 1 < blocks_end; ++b) {
+          if (b->last_row + 1 < (b + 1)->first_row) {
+            cand.push_back(b->last_row + 1);
+            ++gap_candidates;
+          }
+        }
+        std::sort(cand.begin(), cand.end());
+        cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
+        SCOPED_TRACE(::testing::Message()
+                     << "n=" << n << " delta_span=" << delta_span
+                     << " density=" << density);
+
+        std::vector<uint32_t> want = cand;
+        std::vector<uint32_t> charged;
+        PerCandidateIntersect(store, 0, &want, nullptr, &charged);
+        std::vector<uint32_t> got = cand;
+        store.Intersect(0, &got);
+        ASSERT_EQ(got, want);
+        ++cases;
+
+        // A budget that runs out at each charged block in turn: one posting
+        // is spent up front, so a limit of 1 refuses the first block.
+        uint64_t admitted = 1;
+        for (size_t k = 0; k <= charged.size(); ++k) {
+          BudgetLimits limits;
+          limits.max_postings_scanned = admitted;
+          RunBudget want_budget(limits);
+          RunBudget got_budget(limits);
+          ASSERT_TRUE(want_budget.ChargePostings(1));
+          ASSERT_TRUE(got_budget.ChargePostings(1));
+          want = cand;
+          PerCandidateIntersect(store, 0, &want, &want_budget);
+          got = cand;
+          store.Intersect(0, &got, &got_budget);
+          ASSERT_EQ(got, want) << "budget cut at charged block " << k;
+          ASSERT_EQ(got_budget.postings_scanned(),
+                    want_budget.postings_scanned())
+              << "budget cut at charged block " << k;
+          ASSERT_EQ(got_budget.Exhausted(), k < charged.size());
+          if (k < charged.size()) {
+            admitted += charged[k];
+            ++budget_cuts;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(cases, 600u);
+  EXPECT_GT(gap_candidates, 1000u);
+  EXPECT_GT(budget_cuts, 2000u);
+}
+
 TEST(PostingStoreTest, ApproxMemoryBytesCoversArena) {
   std::vector<std::vector<Posting>> lists;
   lists.push_back(MakeList(1000, /*delta_span=*/3, /*tf_span=*/1, 3));

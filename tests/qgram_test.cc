@@ -1,5 +1,7 @@
 #include "text/qgram.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -167,6 +169,19 @@ TEST_P(QGramCountProperty, SharedIsSymmetricAndBounded) {
 
 INSTANTIATE_TEST_SUITE_P(Widths, QGramCountProperty,
                          ::testing::Values(1, 2, 3, 4, 7));
+
+TEST(QGramDictionaryDeathTest, InterningAGramOfAnotherLengthAborts) {
+  // Frozen lookups pack every gram into q bytes, so a gram of another length
+  // is refused at the door rather than silently kept off the fast path.
+  for (size_t q : {2u, 3u}) {
+    QGramDictionary dict(q);
+    EXPECT_EQ(dict.Intern(std::string(q, 'a')), 0u);
+    EXPECT_DEATH(dict.Intern(std::string(q + 1, 'b')),
+                 "interning a " + std::to_string(q + 1) +
+                     "-byte gram into a q=" + std::to_string(q));
+    EXPECT_DEATH(dict.Intern("c"), "interning a 1-byte gram");
+  }
+}
 
 }  // namespace
 }  // namespace mcsm::text

@@ -1,4 +1,4 @@
-// Identity pins for refinement: three small discoveries whose refinement
+// Identity pins for refinement: four small discoveries whose refinement
 // retrieves more pattern candidates than SearchOptions::max_pattern_rows
 // admits, so the record-linkage ranking decides which candidates vote. Each
 // case pins what the run produced when the pins were recorded: the formula,
@@ -72,6 +72,16 @@ datagen::Dataset Date2000() {
   return datagen::MakeDateFormatDataset(o);
 }
 
+// The family perfbench's fullname workload measures, at a size where most
+// sampled rows retrieve more candidates than the cap admits.
+datagen::Dataset MergedNames10000() {
+  datagen::MergedNamesOptions o;
+  o.rows = 10000;
+  o.distinct_names = 300;
+  o.seed = 7;
+  return datagen::MakeMergedNamesDataset(o);
+}
+
 const std::vector<Pin>& Pins() {
   static const std::vector<Pin> pins = {
       {"time_1500_seed2", &Time1500, false, "hrs[1-2]mins[1-2]secs[1-2]",
@@ -85,6 +95,9 @@ const std::vector<Pin>& Pins() {
        "date[6-7]\"/\"date[9-10]\"/\"date[1-4]", 2000, 1560, 13027, 14488,
        513058, 1, 200, 5, 15004, 0xcdb7d204e48ec4b3ull,
        0x167a9e2a66ba7755ull},
+      {"merged_names_10000_seed7", &MergedNames10000, false,
+       "first[1-n]last[1-n]", 10000, 240, 77078, 84704, 1915654, 1, 1000, 641,
+       84530, 0xf3f632254509ab93ull, 0x117a1000b29ace09ull},
   };
   return pins;
 }

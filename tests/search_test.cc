@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <memory>
@@ -9,6 +10,8 @@
 #include <tuple>
 #include <vector>
 
+#include "common/rng.h"
+#include "common/trace.h"
 #include "core/matcher.h"
 #include "core/report.h"
 #include "datagen/datasets.h"
@@ -250,6 +253,60 @@ TEST(SearchTest, NoSharedContentFails) {
   TranslationSearch search(source, target, 0, FastOptions());
   auto result = search.Run();
   EXPECT_FALSE(result.ok());
+}
+
+// Eq. 5 visits candidates in key order ("c<col>|" + rendering) and keeps the
+// first of an exact tie. Columns 2 and 10 hold the same values, so every
+// candidate from one has a twin from the other with the same score and the
+// same known characters. The key "c10|..." sorts before "c2|...", so column
+// 10 must win, although column 2 is aligned first in every slot.
+TEST(SearchTest, Eq5TieGoesToTheEarlierKey) {
+  std::vector<std::string> names;
+  for (int c = 0; c <= 10; ++c) names.push_back("c" + std::to_string(c));
+  relational::Table source = relational::Table::WithTextColumns(names);
+  relational::Table target = relational::Table::WithTextColumns({"t"});
+  Rng rng(5);
+  for (int i = 0; i < 60; ++i) {
+    const std::string value = rng.RandomString(4, "abcdefghijklmnop");
+    std::vector<std::string> row(names.size());
+    row[2] = value;
+    row[10] = value;
+    ASSERT_TRUE(source.AppendTextRow(row).ok());
+    ASSERT_TRUE(target.AppendTextRow({"-" + value}).ok());
+  }
+  InMemoryTraceSink sink;
+  SearchOptions options = FastOptions();
+  options.num_threads = 1;
+  options.env.trace = &sink;
+  TranslationSearch search(source, target, 0, options);
+  TranslationFormula formula({Region::Literal("-"), Region::Unknown()});
+  IterationInfo info;
+  auto improved = search.RefineOnce(&formula, &info);
+  ASSERT_TRUE(improved.ok()) << improved.status();
+  ASSERT_TRUE(*improved);
+  EXPECT_EQ(info.chosen_column, 10u);
+  EXPECT_EQ(formula.ReferencedColumns(), std::vector<size_t>{10});
+
+  // The tie is real: column 2's twin of the winner scored the same, and so
+  // did both end-of-string clones, which know fewer fixed characters.
+  double winner_score = -1;
+  for (const TraceEvent& e : sink.CanonicalEvents()) {
+    if (e.name == "iteration_winner") winner_score = e.value;
+  }
+  std::vector<std::pair<int64_t, std::string>> at_winner_score;
+  for (const TraceEvent& e : sink.CanonicalEvents()) {
+    if (e.name == "candidate_formula" && e.value == winner_score) {
+      at_winner_score.emplace_back(e.column, e.detail);
+    }
+  }
+  std::sort(at_winner_score.begin(), at_winner_score.end());
+  const std::vector<std::pair<int64_t, std::string>> expected = {
+      {2, "\"-\"c2[1-4]"},
+      {2, "\"-\"c2[1-n]"},
+      {10, "\"-\"c10[1-4]"},
+      {10, "\"-\"c10[1-n]"}};
+  EXPECT_EQ(at_winner_score, expected);
+  EXPECT_EQ(formula.ToString(source.schema()), "\"-\"c10[1-4]");
 }
 
 TEST(SearchTest, StatsAreRecorded) {

@@ -226,7 +226,7 @@ TEST(SimdDifferentialTest, CompressedMatchesBruteForceReference) {
   for (const char* like :
        {"%smith%", "alice%", "%son", "%zz%", "gr%ce", "%a%"}) {
     auto pattern = relational::SearchPattern::FromLikeString(like);
-    EXPECT_EQ(index.RowsMatchingPattern(pattern),
+    EXPECT_EQ(index.RowsMatchingPattern(pattern).rows(),
               ref.RowsMatchingPattern(pattern))
         << like;
   }
@@ -359,7 +359,7 @@ TEST(SimdDifferentialTest, ScalarAndVectorRetrievalBitIdentical) {
   const auto expected_sim = idx.SimilarRows("carol jones", 0.0, 100);
   const auto expected_cnt = idx.SimilarRowsByCount("carol jones", 0.0, 100);
   auto pattern = relational::SearchPattern::FromLikeString("%jones%");
-  const auto expected_rows = idx.RowsMatchingPattern(pattern);
+  const auto expected_rows = idx.RowsMatchingPattern(pattern).rows();
 
   for (Level level : AvailableLevels()) {
     SetActiveLevelForTesting(level);
@@ -369,14 +369,13 @@ TEST(SimdDifferentialTest, ScalarAndVectorRetrievalBitIdentical) {
     ExpectSameScoredRows(
         idx.SimilarRowsByCount("carol jones", 0.0, 100), expected_cnt,
         std::string("SimilarRowsByCount@") + LevelName(level));
-    EXPECT_EQ(idx.RowsMatchingPattern(pattern), expected_rows)
+    EXPECT_EQ(idx.RowsMatchingPattern(pattern).rows(), expected_rows)
         << LevelName(level);
   }
 }
 
 TEST(SimdDifferentialTest, FrozenDictionaryMatchesHashMapLookups) {
-  // A dictionary with a foreign-length gram stays on the hash-map path;
-  // a uniform one freezes. Both must answer identically.
+  // The frozen tables must answer as a scan over the interned grams does.
   relational::Table t = SyntheticTable(300, 41);
   relational::ColumnIndex idx(t, 0, IndexOptions());
   const text::QGramDictionary& dict = idx.tfidf().dictionary();

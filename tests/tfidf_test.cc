@@ -76,18 +76,5 @@ TEST(TfIdfTest, CosineBounded) {
   }
 }
 
-TEST(TfIdfTest, PrecomputedConstructorMatchesCorpusConstructor) {
-  std::vector<std::string> corpus = {"banana", "bandana", "cherry"};
-  TfIdfModel from_corpus(corpus, 2);
-  std::unordered_map<std::string, int> df;
-  for (const auto& s : corpus) {
-    std::unordered_map<std::string, int> seen = QGramProfile(s, 2);
-    for (const auto& [g, c] : seen) df[g] += 1;
-  }
-  TfIdfModel from_df(df, corpus.size(), 2);
-  EXPECT_DOUBLE_EQ(from_corpus.ScorePair("banana", "bandana"),
-                   from_df.ScorePair("banana", "bandana"));
-}
-
 }  // namespace
 }  // namespace mcsm::text
